@@ -21,8 +21,8 @@ from .lattices import (
 )
 from .rewriting import (
     ContentUnbalancedError,
+    Identity,
     Presentation,
-    SearchBounds,
     default_bounds,
     derive,
     enumerate_class,
@@ -30,7 +30,6 @@ from .rewriting import (
 )
 from .scenarios import SCENARIO_NAMES, run_scenario
 from .varieties import parse_variety, satisfies, isoterm_for
-from .rewriting import Identity
 from .words import WordSyntaxError, format_word, parse_word
 
 
@@ -41,7 +40,8 @@ def _add_bounds_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _bounds_from_args(args, sigma: Presentation, *words):
-    bounds = default_bounds(sigma, *words)
+    """default_bounds(sigma, *words) with the bounds flags applied, or None,
+    leaving each query to its own defaults, when no flag is given."""
     overrides = {}
     if args.max_len is not None:
         overrides["max_word_length"] = args.max_len
@@ -49,19 +49,7 @@ def _bounds_from_args(args, sigma: Presentation, *words):
         overrides["max_depth"] = args.max_depth
     if args.max_states is not None:
         overrides["max_states"] = args.max_states
-    return dataclasses.replace(bounds, **overrides) if overrides else bounds
-
-
-def _optional_bounds(args, *words):
-    """Bounds for variety queries: None (per-handle defaults) unless flags given."""
-    if args.max_len is None and args.max_depth is None and args.max_states is None:
-        return None
-    longest = max([1] + [len(w) for w in words])
-    return SearchBounds(
-        max_word_length=args.max_len if args.max_len is not None else 2 * longest,
-        max_depth=args.max_depth if args.max_depth is not None else 10,
-        max_states=args.max_states if args.max_states is not None else 1_000_000,
-    )
+    return dataclasses.replace(default_bounds(sigma, *words), **overrides) if overrides else None
 
 
 def _load_system(path: str) -> Presentation:
@@ -106,14 +94,14 @@ def _cmd_class(args) -> int:
 def _cmd_isoterm(args) -> int:
     handle = parse_variety(args.variety)
     word = parse_word(args.word)
-    print(isoterm_for(handle, word, _optional_bounds(args, word)))
+    print(isoterm_for(handle, word, _bounds_from_args(args, Presentation(), word)))
     return 0
 
 
 def _cmd_satisfies(args) -> int:
     handle = parse_variety(args.variety)
     identity = Identity(parse_word(args.lhs), parse_word(args.rhs))
-    print(satisfies(handle, identity, _optional_bounds(args, identity.lhs, identity.rhs)))
+    print(satisfies(handle, identity, _bounds_from_args(args, Presentation(), identity.lhs, identity.rhs)))
     return 0
 
 

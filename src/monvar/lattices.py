@@ -279,15 +279,23 @@ def search_element_counterexample(catalog, has: ElementProperty, lacks: ElementP
 
 
 def lattice_from_json(text: str, name: str = "") -> FiniteLattice:
-    """Lattice file format: {"elements": [labels], "covers": [[lower, upper], ...]}."""
-    data = json.loads(text)
+    """Lattice file format: {"elements": [labels], "covers": [[lower, upper], ...]},
+    every label a string.  Any malformed input raises LatticeError."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise LatticeError(f"bad lattice JSON: {exc}") from None
     if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
         raise LatticeError("lattice JSON needs 'elements' and 'covers' fields")
-    covers = [tuple(pair) for pair in data["covers"]]
+    elements, covers = data["elements"], data["covers"]
+    if not isinstance(elements, list) or not all(isinstance(label, str) for label in elements):
+        raise LatticeError("'elements' must be a list of string labels")
+    if not isinstance(covers, list):
+        raise LatticeError("'covers' must be a list of [lower, upper] pairs")
     for pair in covers:
-        if len(pair) != 2:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(label, str) for label in pair)):
             raise LatticeError(f"bad cover pair {pair!r}")
-    return build_lattice(data["elements"], covers, name=name)
+    return build_lattice(elements, [tuple(pair) for pair in covers], name=name)
 
 
 def load_lattice_file(path: str) -> FiniteLattice:

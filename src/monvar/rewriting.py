@@ -120,10 +120,6 @@ class Presentation:
         return cls(tuple(Identity.parse(t) for t in texts))
 
     @classmethod
-    def from_identities(cls, identities) -> "Presentation":
-        return cls(tuple(identities))
-
-    @classmethod
     def parse(cls, text: str) -> "Presentation":
         """Parse the identity-system file format: one '<word> = <word>' per
         line, '#' starts a comment, blank lines ignored."""
@@ -137,10 +133,6 @@ class Presentation:
 
     def format(self) -> str:
         return "".join(f"{ident}\n" for ident in self.identities)
-
-    @property
-    def content_balanced(self) -> bool:
-        return all(ident.content_balanced for ident in self.identities)
 
     def require_content_balanced(self) -> None:
         for ident in self.identities:
@@ -218,9 +210,6 @@ class DerivationCertificate:
         for step in self.steps:
             chain.append(step.target(sigma))
         return chain
-
-    def end(self, sigma: Presentation) -> Word:
-        return self.words(sigma)[-1]
 
     def reversed(self, sigma: Presentation) -> "DerivationCertificate":
         chain = self.words(sigma)
@@ -378,9 +367,6 @@ class Exploration:
     def words(self) -> frozenset[Word]:
         return frozenset(self.parents)
 
-    def __contains__(self, w: Word) -> bool:
-        return w in self.parents
-
     def certificate_to(self, target: Word) -> DerivationCertificate | None:
         if target not in self.parents:
             return None
@@ -446,14 +432,12 @@ def derive(
     v: Word,
     bounds: SearchBounds | None = None,
 ) -> DerivationCertificate | None:
-    """Search for a derivation of u = v from sigma within the given bounds.
+    """Search for a derivation of u = v from sigma within bounds (default_bounds(sigma, u, v) by default).
 
     Returns a certificate whose replay starts at u and ends at v, or None
     when the bounded search exhausts.  None is never a refutation; exact
     non-derivability only ever comes from a saturated class enumeration.
     """
-    if bounds is None:
-        bounds = default_bounds(sigma, u, v)
     if u == v:
         sigma.require_content_balanced()
         return DerivationCertificate(u)

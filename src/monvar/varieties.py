@@ -25,7 +25,6 @@ from .rewriting import (
     Identity,
     Presentation,
     SearchBounds,
-    default_bounds,
     derive,
     enumerate_class,
     isoterm_exact,
@@ -275,21 +274,25 @@ def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = No
     raise TypeError(f"not a variety handle: {handle!r}")
 
 
+def _least_power_witness(sigma: Presentation, n_max: int, bounds: SearchBounds | None, exponents) -> int | None:
+    """Least n <= n_max with x^a = x^b derivable from sigma, where (a, b) = exponents(n)."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    x = Word((Variable("x"),))
+    for n in range(1, n_max + 1):
+        a, b = exponents(n)
+        if derive(sigma, x**a, x**b, bounds) is not None:
+            return n
+    return None
+
+
 def completely_regular_witness(sigma: Presentation, n_max: int, bounds: SearchBounds | None = None) -> int | None:
     """Least n <= n_max with x = x^(1+n) derivable from sigma, if any.
 
     A variety is completely regular exactly when it satisfies such an
     identity for some n >= 1.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    x = Word((Variable("x"),))
-    for n in range(1, n_max + 1):
-        target = x ** (1 + n)
-        cert = derive(sigma, x, target, bounds or default_bounds(sigma, x, target))
-        if cert is not None:
-            return n
-    return None
+    return _least_power_witness(sigma, n_max, bounds, lambda n: (1, 1 + n))
 
 
 def combinatorial_witness(sigma: Presentation, n_max: int, bounds: SearchBounds | None = None) -> int | None:
@@ -298,15 +301,7 @@ def combinatorial_witness(sigma: Presentation, n_max: int, bounds: SearchBounds 
     A variety is combinatorial (all its groups are trivial) exactly when it
     satisfies such an identity for some n >= 1.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    x = Word((Variable("x"),))
-    for n in range(1, n_max + 1):
-        lhs, rhs = x**n, x ** (n + 1)
-        cert = derive(sigma, lhs, rhs, bounds or default_bounds(sigma, lhs, rhs))
-        if cert is not None:
-            return n
-    return None
+    return _least_power_witness(sigma, n_max, bounds, lambda n: (n, n + 1))
 
 
 _BUILTIN_NAMES = {
@@ -345,12 +340,12 @@ def _parse_expr(s: str, base_dir: str | None) -> tuple[VarietyHandle, str]:
                 if rest.startswith(")"):
                     return cls(tuple(parts)), rest[1:]
                 raise ValueError(f"expected ',' or ')' in variety expression near {rest!r}")
+    stop = len(s)
+    for k, ch in enumerate(s):
+        if ch in ",)":
+            stop = k
+            break
     if s.startswith("@"):
-        stop = len(s)
-        for k, ch in enumerate(s):
-            if ch in ",)":
-                stop = k
-                break
         path = s[1:stop].strip()
         if not path:
             raise ValueError("empty file reference in variety expression")
@@ -358,11 +353,6 @@ def _parse_expr(s: str, base_dir: str | None) -> tuple[VarietyHandle, str]:
             path = os.path.join(base_dir, path)
         with open(path, "r", encoding="utf-8") as fh:
             return Presented(Presentation.parse(fh.read())), s[stop:]
-    stop = len(s)
-    for k, ch in enumerate(s):
-        if ch in ",)":
-            stop = k
-            break
     name = s[:stop].strip()
     if name in _BUILTIN_NAMES:
         return _BUILTIN_NAMES[name], s[stop:]

@@ -15,13 +15,20 @@ from collections.abc import Iterable, Iterator, Mapping
 _TOKEN_RE = re.compile(r"[a-z][0-9]*")
 _FACTOR_RE = re.compile(r"([a-z][0-9]*)(?:\^([0-9]+))?")
 
+# parse_word rejects text spelling a word longer than this many letters, so
+# that a short text such as "x^999999999" cannot demand a huge allocation.
+# Every word the searches here handle is orders of magnitude shorter.
+MAX_WORD_LENGTH = 100_000
+
 
 class WordSyntaxError(ValueError):
-    """Malformed word text: bad token, zero exponent, or empty input."""
+    """Malformed word text: bad token, zero exponent, empty input, or a word
+    longer than MAX_WORD_LENGTH."""
 
 
 class Variable:
-    """A single variable; two variables are equal exactly when their tokens are."""
+    """A single variable; two variables are equal exactly when their tokens
+    are, since each token is interned to one object."""
 
     __slots__ = ("name",)
     _interned: dict[str, "Variable"] = {}
@@ -37,14 +44,16 @@ class Variable:
         cls._interned[name] = obj
         return obj
 
+    # Interning makes equality identity and the hash object's own.  __eq__ is
+    # still spelled out: with __lt__ defined, == on two distinct variables
+    # would otherwise go through the slower generic comparison slot.
     def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Variable) and self.name == other.name)
+        return self is other
+
+    __hash__ = object.__hash__
 
     def __lt__(self, other: "Variable") -> bool:
         return self.name < other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
@@ -123,7 +132,8 @@ EMPTY = Word()
 
 
 def parse_word(text: str) -> Word:
-    """Parse word text: variable tokens, optional ^k with k >= 1, "1" for the empty word."""
+    """Parse word text: variable tokens, optional ^k with k >= 1, "1" for the
+    empty word.  At most MAX_WORD_LENGTH letters."""
     s = text.strip()
     if not s:
         raise WordSyntaxError("empty word text (write the empty word as '1')")
@@ -137,9 +147,13 @@ def parse_word(text: str) -> Word:
             raise WordSyntaxError(f"bad token at position {pos} in {text!r}")
         exponent = 1
         if m.group(2) is not None:
-            exponent = int(m.group(2))
-            if exponent == 0:
+            digits = m.group(2).lstrip("0")
+            if not digits:
                 raise WordSyntaxError(f"zero exponent at position {pos} in {text!r}")
+            # an exponent with more digits than the cap exceeds it; skip int() on it
+            exponent = int(digits) if len(digits) <= len(str(MAX_WORD_LENGTH)) else MAX_WORD_LENGTH + 1
+        if len(letters) + exponent > MAX_WORD_LENGTH:
+            raise WordSyntaxError(f"word text {text[:40]!r} spells more than {MAX_WORD_LENGTH} letters")
         letters.extend([Variable(m.group(1))] * exponent)
         pos = m.end()
     return Word(letters)
@@ -230,10 +244,6 @@ class Substitution:
         self._map = as_dict
         self._items = tuple(sorted(as_dict.items(), key=lambda item: item[0].name))
 
-    def image(self, v: Variable) -> Word:
-        found = self._map.get(v)
-        return found if found is not None else Word((v,))
-
     def apply(self, w: Word) -> Word:
         out: list[Variable] = []
         for letter in w.letters:
@@ -251,10 +261,6 @@ class Substitution:
     def items(self) -> tuple[tuple[Variable, Word], ...]:
         return self._items
 
-    @property
-    def key(self) -> tuple:
-        return tuple((v.name, w.key) for v, w in self._items)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Substitution) and self._items == other._items
 
@@ -264,6 +270,3 @@ class Substitution:
     def __repr__(self) -> str:
         inner = ", ".join(f"{v.name}->{format_word(w)}" for v, w in self._items)
         return f"Substitution({inner})"
-
-
-IDENTITY_SUBSTITUTION = Substitution()

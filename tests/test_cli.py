@@ -130,6 +130,20 @@ class TestLatticeCommand:
         assert "b,modular,false" in out.splitlines()
         assert "0,neutral,true" in out.splitlines()
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"elements": [0, 1, 2], "covers": [[0, 1], [1, 2]]},
+            {"elements": "ab", "covers": [["a", "b"]]},
+            {"elements": ["a", "b"], "covers": [["a", ["b"]]]},
+        ],
+    )
+    def test_malformed_json_is_an_error(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["lattice", "--file", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_implications(self, pentagon_file, capsys):
         code = main(["lattice", "--file", pentagon_file, "--implications"])
         assert code == 0

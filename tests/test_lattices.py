@@ -104,6 +104,18 @@ class TestConstruction:
         with pytest.raises(LatticeError):
             lattice_from_json('{"elements": ["a"]}')
 
+    def test_json_rejects_non_string_labels(self):
+        with pytest.raises(LatticeError, match="string labels"):
+            lattice_from_json('{"elements": [0, 1, 2], "covers": [[0, 1], [1, 2]]}')
+
+    def test_json_rejects_non_list_elements(self):
+        with pytest.raises(LatticeError, match="list of string labels"):
+            lattice_from_json('{"elements": "ab", "covers": [["a", "b"]]}')
+
+    def test_json_rejects_nested_cover_pair(self):
+        with pytest.raises(LatticeError, match="bad cover pair"):
+            lattice_from_json('{"elements": ["a", "b"], "covers": [["a", ["b"]]]}')
+
     def test_product_order(self):
         L = product(chain(2), chain(3))
         assert len(L) == 6

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from monvar import (
@@ -172,6 +174,13 @@ class TestScenarioS4:
 
 
 class TestScenarioPlumbing:
+    def test_verify_output_is_byte_identical(self):
+        # SHA-256 of `monvar verify` stdout as first pinned by the benchmark
+        # oracle; any change to a rendered report shows here
+        stdout = "".join(run_scenario(name).render() + "\n" for name in ("S1", "S2", "S3", "S4"))
+        digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+        assert digest == "7a1622d5e12f897f3198edfc9d35fb7f7e64bc01c1e5fd2d24b8bd73430140d4"
+
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             run_scenario("S9")

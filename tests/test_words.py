@@ -17,6 +17,7 @@ from monvar import (
     parse_word,
     reverse,
 )
+from monvar.words import MAX_WORD_LENGTH
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -51,6 +52,18 @@ class TestParseFormat:
     def test_rejects_malformed(self, bad):
         with pytest.raises(WordSyntaxError):
             parse_word(bad)
+
+    @pytest.mark.parametrize(
+        "huge",
+        ["x^999999999", "x^" + "9" * 5000, "xy" * (MAX_WORD_LENGTH // 2) + "x"],
+        ids=["big-exponent", "5000-digit-exponent", "long-plain-text"],
+    )
+    def test_rejects_words_over_the_length_cap(self, huge):
+        with pytest.raises(WordSyntaxError, match="more than"):
+            parse_word(huge)
+
+    def test_accepts_a_word_at_the_length_cap(self):
+        assert len(parse_word(f"x^{MAX_WORD_LENGTH}")) == MAX_WORD_LENGTH
 
     def test_round_trip_random(self):
         rng = random.Random(11)
