@@ -34,6 +34,7 @@ from .rewriting import (
     NotConnected,
     Presentation,
     RewriteStep,
+    Rewriter,
     SearchBounds,
     class_closure_verify,
     default_bounds,

@@ -14,6 +14,14 @@ enumeration) require every identity to be content-balanced, i.e. both sides
 use the same variable set.  A variable private to one side admits arbitrary
 images, which makes the successor set of a word infinite; such systems are
 rejected with ContentUnbalancedError instead of being silently truncated.
+
+All searches go through one Rewriter per presentation, shared by equal
+presentations through a bounded registry.  It holds the compiled rules (both
+orientations, as variable-slot patterns), a memo of successor sets and the
+memo's counters.  Internally a word is a str with one character per letter,
+coded in the name order of its content, so shortlex order is string order;
+Word stays the public type, and a RewriteStep is built only for a
+certificate or for one_step_successors.
 """
 
 from __future__ import annotations
@@ -21,6 +29,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
+from operator import attrgetter
+from typing import NamedTuple
 
 from .words import (
     Substitution,
@@ -35,6 +46,7 @@ __all__ = [
     "ContentUnbalancedError",
     "Identity",
     "Presentation",
+    "Rewriter",
     "RewriteStep",
     "DerivationCertificate",
     "CertificateCheck",
@@ -255,83 +267,277 @@ class ClassEnumeration:
     complete: bool
 
 
-def _match_prefix(pattern: tuple[Variable, ...], target: tuple[Variable, ...], start: int):
-    """Yield (binding, end) for every way pattern matches target[start:end].
+# Internal word codes.  Inside the engine a word is a str with one character
+# per letter: the i-th variable of the word's content, in name order, is
+# chr(i).  The map preserves order, so (len(s), s) sorts exactly as Word.key
+# does (x10 before x2 included), and slicing, startswith, hashing and equality
+# run in C.  Content-balanced rules preserve content, so every word of one
+# closure shares the alphabet of its start word.  Rewriting commutes with
+# renaming letters, so one code's successors serve every word it encodes.
 
-    Bindings map variables to letter tuples and are yielded as a shared
-    mutable dict; callers must copy whatever they keep.  The first occurrence
-    of each variable tries every remaining segment (including the empty one)
-    as its image, and later occurrences must reproduce the chosen image.
+
+@lru_cache(maxsize=4096)
+def _alphabet(letters: frozenset[Variable]) -> tuple[tuple[Variable, ...], dict[Variable, str]]:
+    ordered = tuple(sorted(letters, key=attrgetter("name")))
+    return ordered, {v: chr(i) for i, v in enumerate(ordered)}
+
+
+def _encode(w: Word) -> tuple[tuple[Variable, ...], str]:
+    """The alphabet and code of w, cached on w."""
+    if w._code is None:
+        alphabet, codes = _alphabet(frozenset(w.letters))
+        w._code = (alphabet, "".join([codes[v] for v in w.letters]))
+    return w._code
+
+
+def _word(alphabet: tuple[Variable, ...], s: str) -> Word:
+    """The word a code spells; s may use only part of the alphabet."""
+    return Word([alphabet[ord(c)] for c in s])
+
+
+def _shortlex_sort(codes: list[str]) -> None:
+    """Sort codes in place by (len(s), s), with both passes keyed in C."""
+    codes.sort()
+    codes.sort(key=len)
+
+
+def _pattern(letters: tuple[Variable, ...]) -> tuple[tuple, tuple[Variable, ...]]:
+    """A pattern as runs (slot, repeat, first, occurrences) and its variables
+    by slot: slots number the variables in order of first occurrence, `first`
+    marks the run where a variable first occurs, and `occurrences` counts all
+    its letters in the pattern."""
+    slots: dict[Variable, int] = {}
+    runs = []
+    for letter, group in groupby(letters):
+        first = letter not in slots
+        if first:
+            slots[letter] = len(slots)
+        runs.append((slots[letter], len(list(group)), first, letters.count(letter)))
+    return tuple(runs), tuple(slots)
+
+
+def _matches(runs: tuple, slots: int, s: str, start: int) -> list[tuple[int, tuple[str, ...]]]:
+    """Every (end, images) with the pattern matching s[start:end] under the
+    binding slot j -> images[j], in depth-first order: each variable's first
+    run tries images of increasing length, and later runs must repeat the
+    chosen image.  The search keeps an explicit stack with one frame per
+    variable, so its depth does not grow with the pattern's length."""
+    n = len(s)
+    last = len(runs) - 1
+    images = [""] * slots
+    found = []
+    frames: list[tuple[int, int, int]] = []  # (run index, position, image length)
+    k, pos = 0, start
+    while True:
+        while k <= last:
+            slot, repeat, first, _ = runs[k]
+            if first and k == last:
+                # The final run holds the last slot's only occurrences: every
+                # image that fits ends a match, so they are listed without frames.
+                bound = tuple(images[:-1])
+                if repeat == 1:
+                    found += [(end, (*bound, s[pos:end])) for end in range(pos, n + 1)]
+                else:
+                    for length in range((n - pos) // repeat + 1):
+                        image = s[pos : pos + length]
+                        if s.startswith(image * repeat, pos):
+                            found.append((pos + repeat * length, (*bound, image)))
+                break
+            if first:
+                frames.append((k, pos, 0))
+                images[slot] = ""
+            else:
+                image = images[slot] * repeat
+                if not s.startswith(image, pos):
+                    break
+                pos += len(image)
+            k += 1
+        else:
+            found.append((pos, tuple(images)))
+        # Backtrack to the latest first run that can take a longer image; its
+        # image fits only if every occurrence of the variable still fits.
+        while frames:
+            k, pos, length = frames.pop()
+            slot, repeat, _, occurrences = runs[k]
+            for length in range(length + 1, (n - pos) // occurrences + 1):
+                image = s[pos : pos + length]
+                if repeat == 1 or s.startswith(image * (repeat - 1), pos + length):
+                    break
+            else:
+                continue
+            frames.append((k, pos, length))
+            images[slot] = image
+            pos += repeat * length
+            k += 1
+            break
+        else:
+            return found
+
+
+class _Rule(NamedTuple):
+    """One orientation of an identity, compiled for matching."""
+
+    identity_index: int
+    forward: bool
+    src: tuple  # runs of the rewritten side, as made by _pattern
+    image: str  # format template of the replacing side, fields by slot
+    variables: tuple[Variable, ...]  # by slot
+
+
+def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
+    """Both orientations of every identity, in the order successors are
+    searched.  Slots follow first occurrence, so (src, image) names a rule up
+    to renaming its variables; a rule equal to an earlier one in that sense
+    (xy = yx read backward, say) rewrites nothing new and is dropped."""
+    rules = []
+    seen = set()
+    for index, ident in enumerate(sigma.identities):
+        for forward in (True, False):
+            src, dst = (ident.lhs, ident.rhs) if forward else (ident.rhs, ident.lhs)
+            runs, variables = _pattern(src.letters)
+            slot = {v: j for j, v in enumerate(variables)}
+            image = "".join(f"{{{slot[v]}}}" for v in dst.letters)
+            if (runs, image) not in seen:
+                seen.add((runs, image))
+                rules.append(_Rule(index, forward, runs, image, variables))
+    return tuple(rules)
+
+
+def _step(alphabet: tuple[Variable, ...], source: str, link: tuple) -> RewriteStep:
+    """The RewriteStep behind a memoised successor link of the code source."""
+    i, end, rule, images = link
+    subst = Substitution({v: _word(alphabet, image) for v, image in zip(rule.variables, images)})
+    prefix, suffix = _word(alphabet, source[:i]), _word(alphabet, source[end:])
+    return RewriteStep(prefix, suffix, rule.identity_index, rule.forward, subst)
+
+
+class Rewriter:
+    """The rewriting engine of one presentation: its compiled rules, its
+    successor memo and the memo's counters.
+
+    Get it with Rewriter.of(sigma), which returns one shared instance for
+    all equal presentations; a Rewriter(sigma) built directly is not shared
+    and memoises nothing.  The memo maps a word code to its successor codes
+    in shortlex order, each with a link (prefix end, suffix start, rule,
+    images) from which the RewriteStep is built on demand.
     """
-    total = len(target)
-    size = len(pattern)
-    binding: dict[Variable, tuple[Variable, ...]] = {}
 
-    def extend(i: int, pos: int):
-        if i == size:
-            yield pos
-            return
-        v = pattern[i]
-        bound = binding.get(v)
-        if bound is not None:
-            step = len(bound)
-            if pos + step <= total and target[pos : pos + step] == bound:
-                yield from extend(i + 1, pos + step)
-            return
-        for step in range(total - pos + 1):
-            binding[v] = target[pos : pos + step]
-            yield from extend(i + 1, pos + step)
-        del binding[v]
+    def __init__(self, sigma: Presentation):
+        sigma.require_content_balanced()
+        self.presentation = sigma
+        self._rules = _compile(sigma)
+        self._memo: dict[str, tuple[tuple[str, tuple], ...]] = {}
+        self._calls = 0
+        self._misses = 0
 
-    for end in extend(0, start):
-        yield binding, end
+    @classmethod
+    def of(cls, sigma: Presentation) -> "Rewriter":
+        """The shared rewriter of sigma; raises ContentUnbalancedError for a
+        system that is not content-balanced."""
+        rewriter = _REGISTRY.get(sigma)
+        if rewriter is None:
+            rewriter = cls(sigma)
+            _register(rewriter)
+        return rewriter
+
+    @property
+    def calls(self) -> int:
+        """Successor lookups made."""
+        return self._calls
+
+    @property
+    def hits(self) -> int:
+        """Lookups answered from the memo."""
+        return self._calls - self._misses
+
+    @property
+    def misses(self) -> int:
+        """Lookups that computed successors."""
+        return self._misses
+
+    @property
+    def memoised(self) -> int:
+        """Words whose successors the memo holds now."""
+        return len(self._memo)
+
+    def _successors(self, s: str) -> tuple[tuple[str, tuple], ...]:
+        """The successor codes and links of the word code s, memoised."""
+        self._calls += 1
+        found = self._memo.get(s)
+        if found is None:
+            self._misses += 1
+            found = self._expand(s)
+            if _admit(self):
+                self._memo[s] = found
+        return found
+
+    def _expand(self, s: str) -> tuple[tuple[str, tuple], ...]:
+        # The first step found for a successor is kept: identities in order,
+        # forward before backward, prefixes by length, bindings depth-first.
+        found: dict[str, tuple] = {}
+        for rule in self._rules:
+            runs, slots, image = rule.src, len(rule.variables), rule.image.format
+            for i in range(len(s) + 1):
+                head = s[:i]
+                for end, images in _matches(runs, slots, s, i):
+                    q = head + image(*images) + s[end:]
+                    if q not in found:
+                        found[q] = (i, end, rule, images)
+        order = list(found)
+        _shortlex_sort(order)
+        return tuple([(q, found[q]) for q in order])
+
+
+# The registry shares one Rewriter between equal presentations.  It holds at
+# most _MAX_REWRITERS of them, dropping the oldest first, and all their memos
+# together hold at most MAX_MEMO_WORDS words: when that budget is spent every
+# memo is emptied.  A rewriter that has left the registry memoises nothing.
+MAX_MEMO_WORDS = 65_536
+_MAX_REWRITERS = 256
+_REGISTRY: dict[Presentation, Rewriter] = {}
+_memo_words = 0
+
+
+def _register(rewriter: Rewriter) -> None:
+    global _memo_words
+    if len(_REGISTRY) >= _MAX_REWRITERS:
+        oldest = _REGISTRY.pop(next(iter(_REGISTRY)))
+        _memo_words -= len(oldest._memo)
+        oldest._memo.clear()
+    _REGISTRY[rewriter.presentation] = rewriter
+
+
+def _admit(rewriter: Rewriter) -> bool:
+    """Whether rewriter may memoise one more word, which is then counted."""
+    global _memo_words
+    if _REGISTRY.get(rewriter.presentation) is not rewriter:
+        return False
+    if _memo_words >= MAX_MEMO_WORDS:
+        for registered in _REGISTRY.values():
+            registered._memo.clear()
+        _memo_words = 0
+    _memo_words += 1
+    return True
+
+
+def clear_successor_cache() -> None:
+    """Empty the registry, and with it every successor memo."""
+    global _memo_words
+    for rewriter in _REGISTRY.values():
+        rewriter._memo.clear()
+    _REGISTRY.clear()
+    _memo_words = 0
 
 
 def match_pattern(pattern: Word, target: Word) -> set[Substitution]:
     """All substitutions with domain content(pattern) mapping pattern to target."""
-    total = len(target.letters)
-    results: set[Substitution] = set()
-    for binding, end in _match_prefix(pattern.letters, target.letters, 0):
-        if end == total:
-            results.add(Substitution({v: Word(img) for v, img in binding.items()}))
-    return results
-
-
-@lru_cache(maxsize=65536)
-def _successor_items(sigma: Presentation, word: Word) -> tuple[tuple[Word, RewriteStep], ...]:
-    letters = word.letters
-    n = len(letters)
-    found: dict[tuple, tuple] = {}
-    for index, ident in enumerate(sigma.identities):
-        for forward in (True, False):
-            src, dst = (ident.lhs, ident.rhs) if forward else (ident.rhs, ident.lhs)
-            if not forward and src == dst:
-                continue
-            src_letters, dst_letters = src.letters, dst.letters
-            for i in range(n + 1):
-                head = letters[:i]
-                for binding, end in _match_prefix(src_letters, letters, i):
-                    image: list[Variable] = []
-                    for letter in dst_letters:
-                        bound = binding.get(letter)
-                        if bound is None:
-                            image.append(letter)
-                        else:
-                            image.extend(bound)
-                    q_letters = head + tuple(image) + letters[end:]
-                    if q_letters not in found:
-                        found[q_letters] = (i, end, index, forward, dict(binding))
-    items = []
-    for q_letters, (i, end, index, forward, binding) in found.items():
-        subst = Substitution({v: Word(img) for v, img in binding.items()})
-        step = RewriteStep(Word(letters[:i]), Word(letters[end:]), index, forward, subst)
-        items.append((Word(q_letters), step))
-    items.sort(key=lambda item: item[0].key)
-    return tuple(items)
-
-
-def clear_successor_cache() -> None:
-    _successor_items.cache_clear()
+    runs, variables = _pattern(pattern.letters)
+    alphabet, s = _encode(target)
+    return {
+        Substitution({v: _word(alphabet, image) for v, image in zip(variables, images)})
+        for end, images in _matches(runs, len(variables), s, 0)
+        if end == len(s)
+    }
 
 
 def one_step_successors(p: Word, sigma: Presentation) -> dict[Word, RewriteStep]:
@@ -342,8 +548,9 @@ def one_step_successors(p: Word, sigma: Presentation) -> dict[Word, RewriteStep]
     yields them (they never matter for closure or reachability, since p is
     reachable from itself in zero steps).
     """
-    sigma.require_content_balanced()
-    return dict(_successor_items(sigma, p))
+    rewriter = Rewriter.of(sigma)
+    alphabet, s = _encode(p)
+    return {_word(alphabet, q): _step(alphabet, s, link) for q, link in rewriter._successors(s)}
 
 
 @dataclass
@@ -354,30 +561,33 @@ class Exploration:
     ``saturated`` is True only when the closure stabilised with no successor
     pruned and no cap reached, in which case ``words`` is exactly the class
     of the start word under the fully invariant congruence of the presented
-    variety.
+    variety.  ``parents`` is keyed on the engine's internal word codes over
+    ``alphabet`` (one entry per visited word); use ``words`` and
+    ``certificate_to`` for Words and steps.
     """
 
     start: Word
     presentation: Presentation
     bounds: SearchBounds
-    parents: dict[Word, tuple[Word, RewriteStep] | None]
+    parents: dict[str, tuple[str, tuple] | None]
     saturated: bool
+    alphabet: tuple[Variable, ...]
 
     @property
     def words(self) -> frozenset[Word]:
-        return frozenset(self.parents)
+        return frozenset(_word(self.alphabet, s) for s in self.parents)
 
     def certificate_to(self, target: Word) -> DerivationCertificate | None:
-        if target not in self.parents:
+        alphabet, cursor = _encode(target)
+        if alphabet != self.alphabet or cursor not in self.parents:
             return None
         steps: list[RewriteStep] = []
-        cursor = target
         while True:
             link = self.parents[cursor]
             if link is None:
                 break
             parent, step = link
-            steps.append(step)
+            steps.append(_step(alphabet, parent, step))
             cursor = parent
         steps.reverse()
         return DerivationCertificate(self.start, tuple(steps))
@@ -396,34 +606,42 @@ def explore(
     is discovered.  All other operations of this module are wrappers over
     this search.
     """
-    sigma.require_content_balanced()
+    rewriter = Rewriter.of(sigma)
     if bounds is None:
         extra = (stop_at,) if stop_at is not None else ()
         bounds = default_bounds(sigma, start, *extra)
-    parents: dict[Word, tuple[Word, RewriteStep] | None] = {start: None}
-    frontier = [start]
+    alphabet, origin = _encode(start)
+    target = None
+    if stop_at is not None:
+        stop_alphabet, stop_code = _encode(stop_at)
+        if stop_alphabet == alphabet:  # rewriting preserves content
+            target = stop_code
+    max_length, max_states = bounds.max_word_length, bounds.max_states
+    parents: dict[str, tuple[str, tuple] | None] = {origin: None}
+    frontier = [origin]
     pruned = False
     depth = 0
     while frontier and depth < bounds.max_depth:
-        next_frontier: list[Word] = []
+        next_frontier: list[str] = []
         for p in frontier:
-            for q, step in _successor_items(sigma, p):
-                if q == p or q in parents:
+            for q, link in rewriter._successors(p):
+                if q in parents:  # p itself included
                     continue
-                if len(q) > bounds.max_word_length:
+                if len(q) > max_length:
                     pruned = True
                     continue
-                if len(parents) >= bounds.max_states:
+                if len(parents) >= max_states:
                     pruned = True
                     continue
-                parents[q] = (p, step)
+                parents[q] = (p, link)
                 next_frontier.append(q)
-                if q == stop_at:
-                    return Exploration(start, sigma, bounds, parents, saturated=False)
-        frontier = sorted(next_frontier, key=lambda w: w.key)
+                if q == target:
+                    return Exploration(start, sigma, bounds, parents, False, alphabet)
+        _shortlex_sort(next_frontier)
+        frontier = next_frontier
         depth += 1
     saturated = not frontier and not pruned
-    return Exploration(start, sigma, bounds, parents, saturated=saturated)
+    return Exploration(start, sigma, bounds, parents, saturated, alphabet)
 
 
 def derive(
@@ -439,10 +657,11 @@ def derive(
     non-derivability only ever comes from a saturated class enumeration.
     """
     if u == v:
-        sigma.require_content_balanced()
+        Rewriter.of(sigma)  # rejects a system that is not content-balanced
         return DerivationCertificate(u)
     result = explore(sigma, u, bounds, stop_at=v)
     return result.certificate_to(v)
+
 
 
 def verify_certificate(
@@ -475,6 +694,8 @@ def verify_certificate(
     return CertificateCheck(True)
 
 
+
+
 def class_closure_verify(candidate: set[Word] | frozenset[Word], w: Word, sigma: Presentation):
     """Check that candidate is exactly the congruence class of w.
 
@@ -485,28 +706,37 @@ def class_closure_verify(candidate: set[Word] | frozenset[Word], w: Word, sigma:
     members = frozenset(candidate)
     if w not in members:
         raise ValueError(f"base word {w} is not in the candidate set")
-    sigma.require_content_balanced()
-    neighbours: dict[Word, list[Word]] = {}
-    for member in sorted(members, key=lambda x: x.key):
-        inside: list[Word] = []
-        for q, _step in _successor_items(sigma, member):
-            if q not in members:
-                return NotClosed(member, q)
-            if q != member:
+    rewriter = Rewriter.of(sigma)
+    ordered = [(member, *_encode(member)) for member in sorted(members, key=attrgetter("key"))]
+    # Successors keep content, so a member's successors are compared with the
+    # members over the same alphabet only, code against code.
+    by_alphabet: dict[tuple[Variable, ...], set[str]] = {}
+    for _, alphabet, s in ordered:
+        by_alphabet.setdefault(alphabet, set()).add(s)
+    base_alphabet, base = _encode(w)
+    neighbours: dict[str, list[str]] = {}
+    for member, alphabet, s in ordered:
+        codes = by_alphabet[alphabet]
+        inside: list[str] = []
+        for q, _link in rewriter._successors(s):
+            if q not in codes:
+                return NotClosed(member, _word(alphabet, q))
+            if q != s:
                 inside.append(q)
-        neighbours[member] = inside
-    reached = {w}
-    frontier = [w]
+        if alphabet == base_alphabet:
+            neighbours[s] = inside
+    reached = {base}
+    frontier = [base]
     while frontier:
-        nxt: list[Word] = []
+        nxt: list[str] = []
         for p in frontier:
             for q in neighbours[p]:
                 if q not in reached:
                     reached.add(q)
                     nxt.append(q)
         frontier = nxt
-    for member in sorted(members, key=lambda x: x.key):
-        if member not in reached:
+    for member, alphabet, s in ordered:
+        if alphabet != base_alphabet or s not in reached:
             return NotConnected(member)
     return ExactClass(members)
 

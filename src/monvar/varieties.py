@@ -314,24 +314,32 @@ _BUILTIN_NAMES = {
 }
 
 
+# parse_variety rejects meet(...)/join(...) nested deeper than this many
+# levels with ValueError, well before the parser could exhaust Python's stack.
+MAX_NESTING = 100
+
+
 def parse_variety(text: str, base_dir: str | None = None) -> VarietyHandle:
     """Parse a handle expression: builtin names, '@file' presentation
-    references, and meet(...)/join(...) composition."""
+    references, and meet(...)/join(...) composition nested at most
+    MAX_NESTING levels deep.  Malformed text raises ValueError."""
     expr = text.strip()
-    handle, rest = _parse_expr(expr, base_dir)
+    handle, rest = _parse_expr(expr, base_dir, 0)
     if rest.strip():
         raise ValueError(f"trailing input in variety expression: {rest!r}")
     return handle
 
 
-def _parse_expr(s: str, base_dir: str | None) -> tuple[VarietyHandle, str]:
+def _parse_expr(s: str, base_dir: str | None, depth: int) -> tuple[VarietyHandle, str]:
     s = s.lstrip()
     for combiner, cls in (("meet(", Meet), ("join(", Join)):
         if s.startswith(combiner):
+            if depth == MAX_NESTING:
+                raise ValueError(f"variety expression nested deeper than {MAX_NESTING} levels")
             rest = s[len(combiner) :]
             parts = []
             while True:
-                part, rest = _parse_expr(rest, base_dir)
+                part, rest = _parse_expr(rest, base_dir, depth + 1)
                 parts.append(part)
                 rest = rest.lstrip()
                 if rest.startswith(","):

@@ -70,12 +70,14 @@ class Word:
     order of every search in this package.
     """
 
-    __slots__ = ("letters", "_hash", "_key")
+    # _code caches the rewriting engine's internal string code of the word.
+    __slots__ = ("letters", "_hash", "_key", "_code")
 
     def __init__(self, letters: Iterable[Variable] = ()):
         self.letters = tuple(letters)
         self._hash = None
         self._key = None
+        self._code = None
 
     @property
     def key(self) -> tuple:

@@ -58,6 +58,18 @@ class TestDeriveCommand:
         code = main(["derive", "--system", "/nonexistent.ids", "--lhs", "x", "--rhs", "x"])
         assert code == 2
 
+    def test_long_identity_proves_in_one_step(self, tmp_path, capsys):
+        # the matcher's stack depth does not grow with the 1200-letter pattern
+        path = tmp_path / "long.ids"
+        path.write_text("x^1200 = x^1201\n")
+        code = main(["derive", "--system", str(path), "--lhs", "x^1200", "--rhs", "x^1201"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("Proved (1 steps)")
+        assert "step: prefix=1 identity=0 direction=forward subst=x=x suffix=1" in out
+        assert main(["isoterm", "--variety", f"@{path}", "--word", "x^1200"]) == 0
+        assert capsys.readouterr().out.strip() == "No"
+
 
 class TestClassCommand:
     def test_complete_class(self, class_system, capsys):
@@ -108,6 +120,11 @@ class TestVerdictCommands:
 
     def test_bad_variety_expression(self, capsys):
         assert main(["isoterm", "--variety", "nope", "--word", "x"]) == 2
+
+    def test_deep_nesting_is_an_error(self, capsys):
+        code = main(["satisfies", "--variety", "meet(" * 3000, "--lhs", "x", "--rhs", "x"])
+        assert code == 2
+        assert "nested deeper than" in capsys.readouterr().err
 
 
 class TestLatticeCommand:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from monvar import (
     EMPTY,
+    BuiltinKind,
     ContentUnbalancedError,
     DerivationCertificate,
     ExactClass,
@@ -12,6 +14,7 @@ from monvar import (
     NotClosed,
     NotConnected,
     Presentation,
+    Rewriter,
     SearchBounds,
     Substitution,
     Variable,
@@ -22,13 +25,17 @@ from monvar import (
     enumerate_class,
     explore,
     format_certificate,
+    format_word,
     isoterm_exact,
     match_pattern,
     one_step_successors,
     parse_certificate,
     parse_word,
+    reference_presentation,
     verify_certificate,
 )
+from monvar import rewriting
+from monvar.rewriting import clear_successor_cache
 
 X, Y = Variable("x"), Variable("y")
 
@@ -130,6 +137,123 @@ class TestSuccessors:
                 p = Word(rng.choices([X, Y], k=rng.randint(0, 6)))
                 for q in one_step_successors(p, sigma):
                     assert p in one_step_successors(q, sigma)
+
+
+def reference_successors(p, sigma):
+    """Every q = a.t'.b with p = a.m.b and (m, t') an instance of an
+    identity read either way, the instances found by brute force."""
+    found = set()
+    for ident in sigma.identities:
+        for src, dst in ((ident.lhs, ident.rhs), (ident.rhs, ident.lhs)):
+            for i in range(len(p) + 1):
+                for j in range(i, len(p) + 1):
+                    for subst in brute_force_matches(src, p[i:j]):
+                        found.add(p[:i] * subst.apply(dst) * p[j:])
+    return found
+
+
+class TestSuccessorOracle:
+    # x2 and x10 sort as "x10" < "x2", unlike their indices
+    NAMES = (Variable("x2"), Variable("x10"), Variable("y"))
+
+    def random_system(self, rng):
+        identities = []
+        for _ in range(rng.randint(1, 2)):
+            variables = rng.sample(self.NAMES, rng.randint(1, 3))
+            sides = []
+            for _ in range(2):
+                letters = variables + rng.choices(variables, k=rng.randint(0, 2))
+                rng.shuffle(letters)
+                sides.append(Word(letters))
+            identities.append(Identity(*sides))
+        return Presentation(tuple(identities))
+
+    def test_successor_sets_match_brute_force(self):
+        rng = random.Random(5081)
+        for _ in range(60):
+            sigma = self.random_system(rng)
+            for _ in range(4):
+                p = Word(rng.choices(self.NAMES, k=rng.randint(0, 5)))
+                successors = one_step_successors(p, sigma)
+                assert set(successors) == reference_successors(p, sigma), (sigma, p)
+                for q, step in successors.items():
+                    assert step.source(sigma) == p and step.target(sigma) == q
+
+    def test_class_and_certificates_follow_word_key_order(self):
+        a, b = Variable("x2"), Variable("x10")  # Word.key puts b first
+        sigma = Presentation.of("xy = yx")
+        start = Word((a, a, b, b))
+        exploration = explore(sigma, start, SearchBounds(4, 8))
+        # reference breadth-first search, every level and successor list
+        # sorted by Word.key
+        parents = {start: None}
+        frontier = [start]
+        while frontier:
+            reached = []
+            for p in frontier:
+                for q, step in sorted(one_step_successors(p, sigma).items(), key=lambda item: item[0].key):
+                    if q not in parents:
+                        parents[q] = (p, step)
+                        reached.append(q)
+            frontier = sorted(reached, key=lambda w: w.key)
+        enumeration = enumerate_class(start, sigma, SearchBounds(4, 8))
+        assert enumeration.complete and enumeration.words == exploration.words == set(parents)
+        for target in parents:
+            steps = []
+            cursor = target
+            while parents[cursor] is not None:
+                cursor, step = parents[cursor]
+                steps.append(step)
+            assert exploration.certificate_to(target) == DerivationCertificate(start, tuple(reversed(steps)))
+        # baba is first reached from bbaa, the least of its parents by Word.key;
+        # ordering x2 before x10 would pick abab instead
+        chain = exploration.certificate_to(Word((b, a, b, a))).words(sigma)
+        assert chain == [start, Word((b, b, a, a)), Word((b, a, b, a))]
+
+
+class TestRewriter:
+    def test_equal_presentations_share_one_rewriter(self):
+        shared = Rewriter.of(Presentation.of("xy = yx", "x^2 = x"))
+        assert Rewriter.of(Presentation.of("yx = xy", "x = x^2")) is shared
+        clear_successor_cache()
+        assert Rewriter.of(Presentation.of("xy = yx", "x^2 = x")) is not shared
+
+    def test_unbalanced_system_has_no_rewriter(self):
+        with pytest.raises(ContentUnbalancedError):
+            Rewriter.of(Presentation.of("xy = x"))
+
+    def test_counters(self):
+        clear_successor_cache()
+        rewriter = Rewriter.of(SIGMA_X1)
+        assert (rewriter.calls, rewriter.hits, rewriter.misses, rewriter.memoised) == (0, 0, 0, 0)
+        first = explore(SIGMA_X1, parse_word("xyxyx"))
+        # a saturated closure expands each of its words once
+        assert first.saturated and len(first.parents) == 2
+        assert (rewriter.calls, rewriter.hits, rewriter.misses, rewriter.memoised) == (2, 0, 2, 2)
+        explore(SIGMA_X1, parse_word("xyxyx"))
+        assert (rewriter.calls, rewriter.hits, rewriter.misses, rewriter.memoised) == (4, 2, 2, 2)
+        assert isoterm_exact(parse_word("yxyxx"), SIGMA_X1) is False
+        assert (rewriter.calls, rewriter.hits, rewriter.misses) == (5, 3, 2)
+
+    def test_memo_budget_is_shared_and_kept(self, monkeypatch):
+        clear_successor_cache()
+        monkeypatch.setattr(rewriting, "MAX_MEMO_WORDS", 5)
+        bounds = SearchBounds(8, 8)
+        power, commuting = Rewriter.of(POWER), Rewriter.of(SIGMA_E)
+        capped = [explore(POWER, parse_word("x"), bounds), explore(SIGMA_E, parse_word("xyxy"), bounds)]
+        assert power.memoised + commuting.memoised <= 5
+        assert commuting.misses > 5
+        clear_successor_cache()
+        monkeypatch.undo()
+        assert capped == [explore(POWER, parse_word("x"), bounds), explore(SIGMA_E, parse_word("xyxy"), bounds)]
+
+    def test_registry_drops_its_oldest_rewriter(self):
+        clear_successor_cache()
+        first = Rewriter.of(Presentation.of("x = x^2"))
+        for k in range(3, 3 + rewriting._MAX_REWRITERS):
+            Rewriter.of(Presentation.of(f"x = x^{k}"))
+        assert Rewriter.of(Presentation.of("x = x^2")) is not first
+        clear_successor_cache()
 
 
 class TestDerive:
@@ -331,3 +455,29 @@ class TestBounds:
     def test_default_bounds_cover_arguments_and_sides(self):
         b = default_bounds(SIGMA_X1, parse_word("x^9yx^3"))
         assert b.max_word_length == 26
+
+
+# SHA-256 of the certificate texts of acceptance criterion 7's decider sweep
+# (every pair of words of length <= 3 over {x, y} under the four reference
+# bases, bounds len 10 / depth 8), in (kind, u, v) order.  Any change in
+# breadth-first order or in which step is recorded for a successor shows here.
+CRITERION_7_CERTIFICATES_SHA256 = "b85fda141ef9f435852d192e12ddb0fafcd2ea225deef3482b5c1e20d3312d12"
+
+
+def test_criterion_7_certificates_are_byte_identical():
+    bounds = SearchBounds(max_word_length=10, max_depth=8, max_states=10**6)
+    words = [Word(p) for n in range(4) for p in itertools.product((X, Y), repeat=n)]
+    digest = hashlib.sha256()
+    count = 0
+    for kind in (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB):
+        sigma = reference_presentation(kind)
+        for u in words:
+            searched = explore(sigma, u, bounds)
+            for v in words:
+                cert = searched.certificate_to(v)
+                if cert is not None:
+                    count += 1
+                    text = f"{kind.value}: {format_word(u)} = {format_word(v)}\n{format_certificate(cert)}"
+                    digest.update(text.encode())
+    assert count == 218
+    assert digest.hexdigest() == CRITERION_7_CERTIFICATES_SHA256

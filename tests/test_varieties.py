@@ -32,6 +32,7 @@ from monvar import (
     reverse,
     satisfies,
 )
+from monvar.varieties import MAX_NESTING
 
 X, Y = Variable("x"), Variable("y")
 
@@ -230,6 +231,12 @@ class TestHandleExpressions:
     def test_rejects_trailing_garbage(self):
         with pytest.raises(ValueError):
             parse_variety("meet(SL, C) extra")
+
+    def test_nesting_cap(self):
+        at_cap = "meet(" * MAX_NESTING + "SL" + ")" * MAX_NESTING
+        assert isinstance(parse_variety(at_cap), Meet)
+        with pytest.raises(ValueError, match="nested deeper"):
+            parse_variety("join(" + at_cap + ")")
 
     def test_empty_composition_rejected(self):
         with pytest.raises(ValueError):
