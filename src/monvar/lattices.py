@@ -3,7 +3,9 @@
 Nine element properties are checked by evaluating their defining
 universally-quantified formulas over all pairs; the dual properties
 (costandard, codistributive, upper-modular) reuse the primal code on the
-order dual, so each formula is transcribed exactly once.
+order dual, so each formula is transcribed exactly once.  Bounds use the
+same duality: one routine builds the greatest-lower-bound table of an
+order, and the join table is that routine run on the transposed order.
 """
 
 from __future__ import annotations
@@ -86,29 +88,11 @@ class FiniteLattice:
         if not self.labels:
             raise LatticeError("a lattice needs at least one element")
         self.order = order
-        n = len(self.labels)
-        meet_table = np.empty((n, n), dtype=np.int64)
-        join_table = np.empty((n, n), dtype=np.int64)
-        for a in range(n):
-            for b in range(a, n):
-                join_table[a, b] = join_table[b, a] = self._bound(a, b, lower=False)
-                meet_table[a, b] = meet_table[b, a] = self._bound(a, b, lower=True)
-        self.meet_table = meet_table
-        self.join_table = join_table
+        # joins first: where an order lacks both bounds of a pair, the error names the join
+        self.join_table = _glb_table(order.T, self.labels, "least upper")
+        self.meet_table = _glb_table(order, self.labels, "greatest lower")
         self._dual: FiniteLattice | None = None
         self._props: dict[ElementProperty, np.ndarray] = {}
-
-    def _bound(self, a: int, b: int, lower: bool) -> int:
-        if lower:
-            commons = self.order[:, a] & self.order[:, b]
-            best = [k for k in np.flatnonzero(commons) if self.order[commons, k].all()]
-        else:
-            commons = self.order[a, :] & self.order[b, :]
-            best = [k for k in np.flatnonzero(commons) if self.order[k, commons].all()]
-        if len(best) != 1:
-            kind = "greatest lower" if lower else "least upper"
-            raise LatticeError(f"no {kind} bound of {{{self.labels[a]}, {self.labels[b]}}}")
-        return best[0]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -143,12 +127,7 @@ class FiniteLattice:
         n = len(self)
         strict = self.order & ~np.eye(n, dtype=bool)
         through = strict @ strict
-        out = []
-        for a in range(n):
-            for b in range(n):
-                if strict[a, b] and not through[a, b]:
-                    out.append((self.labels[a], self.labels[b]))
-        return out
+        return [(self.labels[a], self.labels[b]) for a, b in np.argwhere(strict & ~through)]
 
     def dual(self) -> "FiniteLattice":
         if self._dual is None:
@@ -167,6 +146,25 @@ class FiniteLattice:
             vector = np.array([_primal_check(self, x, prop) for x in range(len(self))], dtype=bool)
         self._props[prop] = vector
         return vector
+
+
+def _glb_table(order: np.ndarray, labels: tuple[str, ...], kind: str) -> np.ndarray:
+    """Greatest lower bound of every pair under order[i, j] = (i <= j), one row
+    at a time so that no step allocates more than an n x n array.  A pair's
+    candidate is its common lower bound with the largest down-set; it is
+    accepted if every common lower bound lies below it and no other above."""
+    n = len(labels)
+    down_size = order.sum(axis=0)
+    table = np.empty((n, n), dtype=np.int64)
+    for a in range(n):
+        common = order[:, a, None] & order
+        best = np.where(common, down_size[:, None], -1).argmax(axis=0)
+        bad = (common & ~order[:, best]).any(axis=0) | ((common & order[best].T).sum(axis=0) != 1)
+        if bad.any():
+            b = int(np.flatnonzero(bad)[0])
+            raise LatticeError(f"no {kind} bound of {{{labels[a]}, {labels[b]}}}")
+        table[a] = best
+    return table
 
 
 def _primal_check(L: FiniteLattice, x: int, prop: ElementProperty) -> bool:
@@ -242,14 +240,11 @@ def elements_with(L: FiniteLattice, p: ElementProperty) -> set[str]:
 
 
 def is_sublattice(L: FiniteLattice, subset) -> bool:
-    members = set(subset)
-    for label in members:
-        L._check(label)
-    for a in members:
-        for b in members:
-            if L.meet(a, b) not in members or L.join(a, b) not in members:
-                return False
-    return True
+    inside = np.zeros(len(L), dtype=bool)
+    for label in subset:
+        inside[L._check(label)] = True
+    pairs = np.ix_(inside, inside)
+    return bool(inside[L.meet_table[pairs]].all() and inside[L.join_table[pairs]].all())
 
 
 def check_implications(L: FiniteLattice) -> list[str]:

@@ -92,10 +92,6 @@ class Identity:
             object.__setattr__(self, "rhs", rhs)
 
     @property
-    def trivial(self) -> bool:
-        return self.lhs == self.rhs
-
-    @property
     def content_balanced(self) -> bool:
         return content(self.lhs) == content(self.rhs)
 

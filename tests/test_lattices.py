@@ -1,7 +1,14 @@
+import hashlib
+import itertools
+import json
+import random
+
+import numpy as np
 import pytest
 
 from monvar import (
     ElementProperty,
+    FiniteLattice,
     LatticeError,
     PROPERTY_IMPLICATIONS,
     boolean_cube,
@@ -97,6 +104,20 @@ class TestConstruction:
         with pytest.raises(LatticeError):
             build_lattice(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
 
+    def test_missing_meet_names_the_pair(self):
+        with pytest.raises(LatticeError, match="no greatest lower bound of {a, b}"):
+            build_lattice(["a", "b", "1"], [("a", "1"), ("b", "1")])
+
+    def test_bounded_non_lattice_rejected(self):
+        # a and b have two minimal upper bounds c and d, so the least one is missing
+        covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")]
+        with pytest.raises(LatticeError, match="no least upper bound of {a, b}"):
+            build_lattice(["0", "a", "b", "c", "d", "1"], covers)
+
+    def test_non_antisymmetric_order_rejected(self):
+        with pytest.raises(LatticeError):
+            FiniteLattice(("x", "y"), np.ones((2, 2), dtype=bool))
+
     def test_json_format(self):
         text = '{"elements": ["0", "a", "1"], "covers": [["0", "a"], ["a", "1"]]}'
         L = lattice_from_json(text)
@@ -181,6 +202,10 @@ class TestSublattices:
     def test_two_atoms_are_not_closed(self):
         assert not is_sublattice(m3(), {"p", "q"})
 
+    def test_unknown_label_rejected(self):
+        with pytest.raises(LatticeError):
+            is_sublattice(m3(), {"zz"})
+
     def test_neutral_and_standard_sets_are_sublattices(self):
         for L in SMALL:
             assert is_sublattice(L, elements_with(L, P.NEUTRAL))
@@ -228,7 +253,90 @@ class TestCounterexampleSearch:
         assert search_element_counterexample(builtin_catalog(), P.STANDARD, P.DISTRIBUTIVE) is None
 
 
+class TestRandomLattices:
+    """Bound tables, covers and sublattice checks against set-level oracles."""
+
+    def moore_family(self, rng):
+        # subsets of 2^bits containing the top and closed under intersection: always a lattice
+        bits = rng.randint(2, 4)
+        top = 2**bits - 1
+        members = {top} | {m for m in range(top) if rng.random() < 0.4}
+        while True:
+            closed = members | {a & b for a in members for b in members}
+            if closed == members:
+                break
+            members = closed
+        return bits, sorted(members)
+
+    def test_moore_families(self):
+        rng = random.Random(4)
+        for _ in range(150):
+            bits, members = self.moore_family(rng)
+            labels = tuple(format(m, f"0{bits}b") for m in members)
+            label = dict(zip(members, labels))
+            order = np.array([[a & b == a for b in members] for a in members])
+            L = FiniteLattice(labels, order)
+            for a, b in itertools.product(members, repeat=2):
+                assert L.meet(label[a], label[b]) == label[a & b]
+                least = min((m for m in members if m & (a | b) == a | b), key=lambda m: bin(m).count("1"))
+                assert L.join(label[a], label[b]) == label[least]
+            assert (build_lattice(L.labels, L.covers()).order == L.order).all()
+            for _ in range(5):
+                subset = {x for x in labels if rng.random() < 0.5}
+                closed = all(L.meet(x, y) in subset and L.join(x, y) in subset for x in subset for y in subset)
+                assert is_sublattice(L, subset) == closed, (labels, subset)
+
+    def test_random_posets(self):
+        rng = random.Random(6)
+        built = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            # half of them get a bottom 0 and a top n-1, so that more of them are lattices
+            bounded = rng.random() < 0.5
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            edges = [(i, j) for i, j in pairs if (bounded and (i == 0 or j == n - 1)) or rng.random() < 0.4]
+            le = [[i == j or (i, j) in edges for j in range(n)] for i in range(n)]
+            for k, i, j in itertools.product(range(n), repeat=3):
+                le[i][j] = le[i][j] or (le[i][k] and le[k][j])
+
+            def bound(a, b, below):
+                common = [k for k in range(n) if below(k, a) and below(k, b)]
+                best = [k for k in common if all(below(c, k) for c in common)]
+                return best[0] if len(best) == 1 else None
+
+            meets = {(a, b): bound(a, b, lambda x, y: le[x][y]) for a in range(n) for b in range(n)}
+            joins = {(a, b): bound(a, b, lambda x, y: le[y][x]) for a in range(n) for b in range(n)}
+            labels = [f"e{k}" for k in range(n)]
+            covers = [(labels[i], labels[j]) for i, j in edges]
+            if None in meets.values() or None in joins.values():
+                with pytest.raises(LatticeError, match="bound of"):
+                    build_lattice(labels, covers)
+                continue
+            L = build_lattice(labels, covers)
+            built += 1
+            for (a, b), m in meets.items():
+                assert L.meet(labels[a], labels[b]) == labels[m]
+                assert L.join(labels[a], labels[b]) == labels[joins[a, b]]
+        assert 0 < built < 300
+
+
 class TestCatalog:
+    def test_tables_and_properties_are_byte_identical(self):
+        # SHA-256 first computed with the per-pair bound loops; any change to a
+        # catalog lattice's tables, covers or property vectors shows here
+        digest = hashlib.sha256()
+        for L in builtin_catalog():
+            record = {
+                "name": L.name,
+                "labels": list(L.labels),
+                "meet": L.meet_table.tolist(),
+                "join": L.join_table.tolist(),
+                "covers": L.covers(),
+                "properties": {p.value: [has_property(L, x, p) for x in L.labels] for p in P},
+            }
+            digest.update((json.dumps(record) + "\n").encode())
+        assert digest.hexdigest() == "b9c96513c683eb16e0f7f64554d50a0365833a7d2e8dcda5fb0fec101468c86a"
+
     def test_composition(self):
         names = {L.name for L in builtin_catalog()}
         for expected in ("C1", "C6", "M3", "N5", "B2", "B3", "M3+top", "N5+bot", "C2xC2", "C6xC6"):
