@@ -140,10 +140,10 @@ class FiniteLattice:
         cached = self._props.get(prop)
         if cached is not None:
             return cached
-        if prop in _DUAL_OF:
-            vector = self.dual()._property_vector(_DUAL_OF[prop])
-        else:
-            vector = np.array([_primal_check(self, x, prop) for x in range(len(self))], dtype=bool)
+        M, J, leq, primal = self.meet_table, self.join_table, self.order, prop
+        if prop in _DUAL_OF:  # read the order dual off this lattice's own tables
+            M, J, leq, primal = J, M, leq.T, _DUAL_OF[prop]
+        vector = np.array([_primal_check(M, J, leq, x, primal) for x in range(len(self))], dtype=bool)
         self._props[prop] = vector
         return vector
 
@@ -167,9 +167,8 @@ def _glb_table(order: np.ndarray, labels: tuple[str, ...], kind: str) -> np.ndar
     return table
 
 
-def _primal_check(L: FiniteLattice, x: int, prop: ElementProperty) -> bool:
-    n = len(L)
-    M, J, leq = L.meet_table, L.join_table, L.order
+def _primal_check(M: np.ndarray, J: np.ndarray, leq: np.ndarray, x: int, prop: ElementProperty) -> bool:
+    n = len(leq)
     jx = J[x]
     mx = M[x]
     if prop is ElementProperty.NEUTRAL:
@@ -301,10 +300,10 @@ def load_lattice_file(path: str) -> FiniteLattice:
 # Built-in catalog.
 
 
-def chain(k: int, name: str = "") -> FiniteLattice:
+def chain(k: int) -> FiniteLattice:
     labels = [str(i) for i in range(k)]
     covers = [(str(i), str(i + 1)) for i in range(k - 1)]
-    return build_lattice(labels, covers, name=name or f"C{k}")
+    return build_lattice(labels, covers, name=f"C{k}")
 
 
 def m3() -> FiniteLattice:
@@ -334,24 +333,24 @@ def boolean_cube(d: int) -> FiniteLattice:
     return build_lattice(labels, covers, name=f"B{d}")
 
 
-def with_new_top(L: FiniteLattice, name: str = "") -> FiniteLattice:
+def with_new_top(L: FiniteLattice) -> FiniteLattice:
     top = "T*"
     labels = L.labels + (top,)
     covers = L.covers() + [(L.top, top)]
-    return build_lattice(labels, covers, name=name or f"{L.name}+top")
+    return build_lattice(labels, covers, name=f"{L.name}+top")
 
 
-def with_new_bottom(L: FiniteLattice, name: str = "") -> FiniteLattice:
+def with_new_bottom(L: FiniteLattice) -> FiniteLattice:
     bottom = "B*"
     labels = (bottom,) + L.labels
     covers = L.covers() + [(bottom, L.bottom)]
-    return build_lattice(labels, covers, name=name or f"{L.name}+bot")
+    return build_lattice(labels, covers, name=f"{L.name}+bot")
 
 
-def product(A: FiniteLattice, B: FiniteLattice, name: str = "") -> FiniteLattice:
+def product(A: FiniteLattice, B: FiniteLattice) -> FiniteLattice:
     labels = tuple(f"({a},{b})" for a in A.labels for b in B.labels)
     order = np.kron(A.order.astype(np.int8), B.order.astype(np.int8)).astype(bool)
-    return FiniteLattice(labels, order, name=name or f"{A.name}x{B.name}")
+    return FiniteLattice(labels, order, name=f"{A.name}x{B.name}")
 
 
 @cache

@@ -22,6 +22,11 @@ memo's counters.  Internally a word is a str with one character per letter,
 coded in the name order of its content, so shortlex order is string order;
 Word stays the public type, and a RewriteStep is built only for a
 certificate or for one_step_successors.
+
+Every exact operation wraps one search, explore: derive stops it at its
+target, enumerate_class reads its closure, and class_closure_verify (with
+isoterm_exact on top) reads successor sets for closure and runs explore for
+connectivity.
 """
 
 from __future__ import annotations
@@ -599,8 +604,7 @@ def explore(
 
     Words are visited in shortlex order within each level, successors longer
     than the length cap are pruned, and the search stops early when stop_at
-    is discovered.  All other operations of this module are wrappers over
-    this search.
+    is discovered.  Every exact operation of this module wraps this search.
     """
     rewriter = Rewriter.of(sigma)
     if bounds is None:
@@ -703,36 +707,21 @@ def class_closure_verify(candidate: set[Word] | frozenset[Word], w: Word, sigma:
     if w not in members:
         raise ValueError(f"base word {w} is not in the candidate set")
     rewriter = Rewriter.of(sigma)
-    ordered = [(member, *_encode(member)) for member in sorted(members, key=attrgetter("key"))]
-    # Successors keep content, so a member's successors are compared with the
-    # members over the same alphabet only, code against code.
-    by_alphabet: dict[tuple[Variable, ...], set[str]] = {}
-    for _, alphabet, s in ordered:
-        by_alphabet.setdefault(alphabet, set()).add(s)
-    base_alphabet, base = _encode(w)
-    neighbours: dict[str, list[str]] = {}
-    for member, alphabet, s in ordered:
-        codes = by_alphabet[alphabet]
-        inside: list[str] = []
+    ordered = sorted(members, key=attrgetter("key"))
+    # Successors keep content, so a successor is a member exactly when its
+    # (alphabet, code) pair is a member's.
+    codes = {_encode(member) for member in ordered}
+    for member in ordered:
+        alphabet, s = _encode(member)
         for q, _link in rewriter._successors(s):
-            if q not in codes:
+            if (alphabet, q) not in codes:
                 return NotClosed(member, _word(alphabet, q))
-            if q != s:
-                inside.append(q)
-        if alphabet == base_alphabet:
-            neighbours[s] = inside
-    reached = {base}
-    frontier = [base]
-    while frontier:
-        nxt: list[str] = []
-        for p in frontier:
-            for q in neighbours[p]:
-                if q not in reached:
-                    reached.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    for member, alphabet, s in ordered:
-        if alphabet != base_alphabet or s not in reached:
+    # The candidate is closed, so everything reachable from w is a member and
+    # these caps prune nothing: the search reaches exactly w's class.
+    n = len(members)
+    reached = explore(sigma, w, SearchBounds(max(1, *map(len, members)), n, n)).words
+    for member in ordered:
+        if member not in reached:
             return NotConnected(member)
     return ExactClass(members)
 

@@ -17,7 +17,6 @@ Built-in deciders and their canonical invariants:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -319,18 +318,19 @@ _BUILTIN_NAMES = {
 MAX_NESTING = 100
 
 
-def parse_variety(text: str, base_dir: str | None = None) -> VarietyHandle:
+def parse_variety(text: str) -> VarietyHandle:
     """Parse a handle expression: builtin names, '@file' presentation
-    references, and meet(...)/join(...) composition nested at most
-    MAX_NESTING levels deep.  Malformed text raises ValueError."""
+    references (a relative path resolves against the working directory), and
+    meet(...)/join(...) composition nested at most MAX_NESTING levels deep.
+    Malformed text raises ValueError."""
     expr = text.strip()
-    handle, rest = _parse_expr(expr, base_dir, 0)
+    handle, rest = _parse_expr(expr, 0)
     if rest.strip():
         raise ValueError(f"trailing input in variety expression: {rest!r}")
     return handle
 
 
-def _parse_expr(s: str, base_dir: str | None, depth: int) -> tuple[VarietyHandle, str]:
+def _parse_expr(s: str, depth: int) -> tuple[VarietyHandle, str]:
     s = s.lstrip()
     for combiner, cls in (("meet(", Meet), ("join(", Join)):
         if s.startswith(combiner):
@@ -339,7 +339,7 @@ def _parse_expr(s: str, base_dir: str | None, depth: int) -> tuple[VarietyHandle
             rest = s[len(combiner) :]
             parts = []
             while True:
-                part, rest = _parse_expr(rest, base_dir, depth + 1)
+                part, rest = _parse_expr(rest, depth + 1)
                 parts.append(part)
                 rest = rest.lstrip()
                 if rest.startswith(","):
@@ -357,8 +357,6 @@ def _parse_expr(s: str, base_dir: str | None, depth: int) -> tuple[VarietyHandle
         path = s[1:stop].strip()
         if not path:
             raise ValueError("empty file reference in variety expression")
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
         with open(path, "r", encoding="utf-8") as fh:
             return Presented(Presentation.parse(fh.read())), s[stop:]
     name = s[:stop].strip()

@@ -256,9 +256,9 @@ class TestCounterexampleSearch:
 class TestRandomLattices:
     """Bound tables, covers and sublattice checks against set-level oracles."""
 
-    def moore_family(self, rng):
+    def moore_family(self, rng, max_bits=4):
         # subsets of 2^bits containing the top and closed under intersection: always a lattice
-        bits = rng.randint(2, 4)
+        bits = rng.randint(2, max_bits)
         top = 2**bits - 1
         members = {top} | {m for m in range(top) if rng.random() < 0.4}
         while True:
@@ -285,6 +285,20 @@ class TestRandomLattices:
                 subset = {x for x in labels if rng.random() < 0.5}
                 closed = all(L.meet(x, y) in subset and L.join(x, y) in subset for x in subset for y in subset)
                 assert is_sublattice(L, subset) == closed, (labels, subset)
+
+    def test_properties_match_the_loop_oracle(self):
+        # the oracle reads the dual properties off L.dual(), built through the
+        # constructor, while has_property swaps L's own tables
+        rng = random.Random(9)
+        for _ in range(100):
+            bits, members = self.moore_family(rng, max_bits=3)
+            labels = tuple(format(m, f"0{bits}b") for m in members)
+            order = np.array([[a & b == a for b in members] for a in members])
+            L = FiniteLattice(labels, order)
+            for prop in P:
+                assert [has_property(L, x, prop) for x in labels] == [
+                    naive_has_property(L, x, prop) for x in labels
+                ], (labels, prop)
 
     def test_random_posets(self):
         rng = random.Random(6)

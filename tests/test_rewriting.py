@@ -362,6 +362,53 @@ class TestClassVerdicts:
         for member in verdict.words:
             assert set(one_step_successors(member, SIGMA_X1)) <= verdict.words
 
+    @staticmethod
+    def reference_verdict(candidate, w, sigma):
+        """Closure first, over members and then successors in Word.key order;
+        then breadth-first reachability from w."""
+        members = sorted(candidate, key=lambda u: u.key)
+        for member in members:
+            for q in sorted(one_step_successors(member, sigma), key=lambda u: u.key):
+                if q not in candidate:
+                    return NotClosed(member, q)
+        reached, frontier = {w}, [w]
+        while frontier:
+            frontier = [q for p in frontier for q in one_step_successors(p, sigma) if q not in reached]
+            reached.update(frontier)
+        for member in members:
+            if member not in reached:
+                return NotConnected(member)
+        return ExactClass(frozenset(candidate))
+
+    def test_verdicts_match_reference(self):
+        systems = [SIGMA_X1, SIGMA_Y1, SIGMA_E, POWER, Presentation.of("xy = yx"), Presentation.of("xy = xyx")]
+        extras = [parse_word("z^2"), parse_word("xz"), EMPTY]
+        rng = random.Random(2203)
+        kinds = {ExactClass: 0, NotClosed: 0, NotConnected: 0}
+        for _ in range(300):
+            sigma = rng.choice(systems)
+            w = Word(rng.choices((X, Y), k=rng.randint(0, 5)))
+            enumeration = sorted(enumerate_class(w, sigma, SearchBounds(7, 3, 30)).words, key=lambda u: u.key)
+            candidate = {w} | set(rng.sample(enumeration, rng.randint(0, len(enumeration))))
+            if rng.random() < 0.3:
+                candidate |= set(enumeration)
+            if rng.random() < 0.4:
+                candidate |= set(rng.sample(extras, rng.randint(1, 2)))
+            if rng.random() < 0.2:
+                candidate.add(Word(rng.choices((X, Y), k=rng.randint(0, 5))))
+            base = w if rng.random() < 0.75 else rng.choice(sorted(candidate, key=lambda u: u.key))
+            verdict = class_closure_verify(candidate, base, sigma)
+            # dataclass equality compares witnesses and ExactClass word sets as sets
+            assert verdict == self.reference_verdict(candidate, base, sigma), (sigma, base, candidate)
+            kinds[type(verdict)] += 1
+        assert min(kinds.values()) >= 30, kinds
+
+    def test_not_closed_wins_over_not_connected(self):
+        # xyxyx is unreachable from z and its successor yxyxx escapes
+        members = {parse_word("z"), parse_word("xyxyx")}
+        verdict = class_closure_verify(members, parse_word("z"), Presentation.of("xyxyx = yxyxx"))
+        assert verdict == NotClosed(parse_word("xyxyx"), parse_word("yxyxx"))
+
 
 class TestIsoterms:
     def test_isoterm_for_one_identity_system(self):
