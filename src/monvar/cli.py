@@ -29,7 +29,7 @@ from .rewriting import (
     format_certificate,
 )
 from .scenarios import SCENARIO_NAMES, run_scenario
-from .varieties import parse_variety, satisfies, isoterm_for
+from .varieties import Join, Meet, Presented, isoterm_for, parse_variety, satisfies
 from .words import WordSyntaxError, format_word, parse_word
 
 
@@ -50,6 +50,16 @@ def _bounds_from_args(args, sigma: Presentation, *words):
     if args.max_states is not None:
         overrides["max_states"] = args.max_states
     return dataclasses.replace(default_bounds(sigma, *words), **overrides) if overrides else None
+
+
+def _handle_system(handle) -> Presentation:
+    """The identities of every presented part of a handle, which set the
+    default bounds that a lone bounds flag leaves in place."""
+    if isinstance(handle, Presented):
+        return handle.presentation
+    if isinstance(handle, (Meet, Join)):
+        return Presentation(tuple(i for part in handle.parts for i in _handle_system(part).identities))
+    return Presentation()
 
 
 def _load_system(path: str) -> Presentation:
@@ -94,14 +104,14 @@ def _cmd_class(args) -> int:
 def _cmd_isoterm(args) -> int:
     handle = parse_variety(args.variety)
     word = parse_word(args.word)
-    print(isoterm_for(handle, word, _bounds_from_args(args, Presentation(), word)))
+    print(isoterm_for(handle, word, _bounds_from_args(args, _handle_system(handle), word)))
     return 0
 
 
 def _cmd_satisfies(args) -> int:
     handle = parse_variety(args.variety)
     identity = Identity(parse_word(args.lhs), parse_word(args.rhs))
-    print(satisfies(handle, identity, _bounds_from_args(args, Presentation(), identity.lhs, identity.rhs)))
+    print(satisfies(handle, identity, _bounds_from_args(args, _handle_system(handle), identity.lhs, identity.rhs)))
     return 0
 
 

@@ -13,12 +13,17 @@ Built-in deciders and their canonical invariants:
   C    var{x^2 = x^3, xy = yx}  u = v  iff  c_normal_form(u) = c_normal_form(v)
   LRB  var{xy = xyx}            u = v  iff  ini(u) = ini(v)
   RRB  var{xy = yxy}            u = v  iff  fin(u) = fin(v)
+
+Everything known about a built-in (its reference basis, its invariant and the
+length of its longest isoterm) is one row of the table `_BUILTINS`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .rewriting import (
     Identity,
@@ -99,22 +104,6 @@ LRB = Builtin(BuiltinKind.LRB)
 RRB = Builtin(BuiltinKind.RRB)
 MON = Presented(Presentation())
 
-_REFERENCE = {
-    BuiltinKind.SL: Presentation.of("x^2 = x", "xy = yx"),
-    BuiltinKind.C: Presentation.of("x^2 = x^3", "xy = yx"),
-    BuiltinKind.LRB: Presentation.of("xy = xyx"),
-    BuiltinKind.RRB: Presentation.of("xy = yxy"),
-}
-
-
-def reference_presentation(kind: BuiltinKind) -> Presentation | None:
-    """The defining identities of a built-in variety.
-
-    T has none usable here: its defining identity x = y is not
-    content-balanced, so its decider is axiomatic (everything holds).
-    """
-    return _REFERENCE.get(kind)
-
 
 class Verdict(Enum):
     YES = "yes"
@@ -135,12 +124,7 @@ class Verdict(Enum):
         return self in (Verdict.UNKNOWN_BOUNDS, Verdict.UNKNOWN_COMPOSITION)
 
     def __str__(self) -> str:
-        return {
-            Verdict.YES: "Yes",
-            Verdict.NO: "No",
-            Verdict.UNKNOWN_BOUNDS: "Unknown (bounds)",
-            Verdict.UNKNOWN_COMPOSITION: "Unknown (composition)",
-        }[self]
+        return self.value.capitalize()
 
 
 def c_normal_form(w: Word) -> Word:
@@ -159,39 +143,47 @@ def c_normal_form(w: Word) -> Word:
     return Word(out)
 
 
-def _builtin_satisfies(kind: BuiltinKind, identity: Identity) -> bool:
-    u, v = identity.lhs, identity.rhs
-    if kind is BuiltinKind.T:
-        return True
-    if kind is BuiltinKind.SL:
-        return content(u) == content(v)
-    if kind is BuiltinKind.C:
-        return c_normal_form(u) == c_normal_form(v)
-    if kind is BuiltinKind.LRB:
-        return ini(u) == ini(v)
-    if kind is BuiltinKind.RRB:
-        return fin(u) == fin(v)
-    raise AssertionError(kind)
+class _Builtin(NamedTuple):
+    basis: Presentation | None
+    # u = v holds exactly when invariant(u) == invariant(v)
+    invariant: Callable[[Word], object]
+    # the isoterms are exactly the words of at most this length
+    longest_isoterm: int
 
 
-def _builtin_isoterm(kind: BuiltinKind, w: Word) -> bool:
-    # Singleton classes under the canonical invariants:
-    #   T collapses everything, so no word is an isoterm.
-    #   SL: the class of w is every word with the same content, singleton
-    #       only for the empty word.
-    #   C: any letter occurring twice pumps, and two once-occurring letters
-    #       commute, so only words of length <= 1 have singleton classes.
-    #   LRB: every word shares its class with ini(w) and with padded
-    #       variants, singleton only for the empty word; RRB dually.
-    if kind is BuiltinKind.T:
-        return False
-    if kind is BuiltinKind.SL:
-        return len(w) == 0
-    if kind is BuiltinKind.C:
-        return len(w) <= 1
-    if kind in (BuiltinKind.LRB, BuiltinKind.RRB):
-        return len(w) == 0
-    raise AssertionError(kind)
+# Singleton classes under the canonical invariants:
+#   T collapses everything, so no word is an isoterm.
+#   SL: the class of w is every word with the same content, singleton
+#       only for the empty word.
+#   C: any letter occurring twice pumps, and two once-occurring letters
+#       commute, so only words of length <= 1 have singleton classes.
+#   LRB: every word shares its class with ini(w) and with padded
+#       variants, singleton only for the empty word; RRB dually.
+_BUILTINS = {
+    BuiltinKind.T: _Builtin(None, lambda w: None, -1),
+    BuiltinKind.SL: _Builtin(Presentation.of("x^2 = x", "xy = yx"), content, 0),
+    BuiltinKind.C: _Builtin(Presentation.of("x^2 = x^3", "xy = yx"), c_normal_form, 1),
+    BuiltinKind.LRB: _Builtin(Presentation.of("xy = xyx"), ini, 0),
+    BuiltinKind.RRB: _Builtin(Presentation.of("xy = yxy"), fin, 0),
+}
+
+
+def reference_presentation(kind: BuiltinKind) -> Presentation | None:
+    """The defining identities of a built-in variety.
+
+    T has none usable here: its defining identity x = y is not
+    content-balanced, so its decider is axiomatic (everything holds).
+    """
+    return _BUILTINS[kind].basis
+
+
+def _every_part(answers: list[Verdict]) -> Verdict:
+    """No if some answer is No, Yes if all are Yes, otherwise Unknown (composition)."""
+    if any(a.is_no for a in answers):
+        return Verdict.NO
+    if all(a.is_yes for a in answers):
+        return Verdict.YES
+    return Verdict.UNKNOWN_COMPOSITION
 
 
 def satisfies(handle: VarietyHandle, identity: Identity, bounds: SearchBounds | None = None) -> Verdict:
@@ -204,17 +196,13 @@ def satisfies(handle: VarietyHandle, identity: Identity, bounds: SearchBounds | 
     union of component presentations.
     """
     if isinstance(handle, Builtin):
-        return Verdict.YES if _builtin_satisfies(handle.kind, identity) else Verdict.NO
+        invariant = _BUILTINS[handle.kind].invariant
+        return Verdict.YES if invariant(identity.lhs) == invariant(identity.rhs) else Verdict.NO
     if isinstance(handle, Presented):
         cert = derive(handle.presentation, identity.lhs, identity.rhs, bounds)
         return Verdict.YES if cert is not None else Verdict.UNKNOWN_BOUNDS
     if isinstance(handle, Join):
-        answers = [satisfies(part, identity, bounds) for part in handle.parts]
-        if any(a.is_no for a in answers):
-            return Verdict.NO
-        if all(a.is_yes for a in answers):
-            return Verdict.YES
-        return Verdict.UNKNOWN_COMPOSITION
+        return _every_part([satisfies(part, identity, bounds) for part in handle.parts])
     if isinstance(handle, Meet):
         answers = [satisfies(part, identity, bounds) for part in handle.parts]
         if any(a.is_yes for a in answers):
@@ -240,16 +228,11 @@ def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = No
     decides the join.
     """
     if isinstance(handle, Builtin):
-        return Verdict.YES if _builtin_isoterm(handle.kind, w) else Verdict.NO
+        return Verdict.YES if len(w) <= _BUILTINS[handle.kind].longest_isoterm else Verdict.NO
     if isinstance(handle, Presented):
         return Verdict.YES if isoterm_exact(w, handle.presentation) else Verdict.NO
     if isinstance(handle, Meet):
-        answers = [isoterm_for(part, w, bounds) for part in handle.parts]
-        if any(a.is_no for a in answers):
-            return Verdict.NO
-        if all(a.is_yes for a in answers):
-            return Verdict.YES
-        return Verdict.UNKNOWN_COMPOSITION
+        return _every_part([isoterm_for(part, w, bounds) for part in handle.parts])
     if isinstance(handle, Join):
         for index, part in enumerate(handle.parts):
             if not isinstance(part, Presented):
@@ -262,12 +245,10 @@ def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = No
             for other_word in sorted(enumeration.words, key=lambda x: x.key):
                 if other_word == w:
                     continue
-                answers = [satisfies(other, Identity(w, other_word), bounds) for other in others]
-                if any(a.is_no for a in answers):
-                    continue
-                if all(a.is_yes for a in answers):
+                verdict = _every_part([satisfies(other, Identity(w, other_word), bounds) for other in others])
+                if verdict.is_yes:
                     return Verdict.NO
-                undecided = True
+                undecided = undecided or verdict.is_unknown
             return Verdict.UNKNOWN_COMPOSITION if undecided else Verdict.YES
         return Verdict.UNKNOWN_COMPOSITION
     raise TypeError(f"not a variety handle: {handle!r}")
@@ -303,14 +284,7 @@ def combinatorial_witness(sigma: Presentation, n_max: int, bounds: SearchBounds 
     return _least_power_witness(sigma, n_max, bounds, lambda n: (n, n + 1))
 
 
-_BUILTIN_NAMES = {
-    "T": T,
-    "SL": SL,
-    "C": C,
-    "LRB": LRB,
-    "RRB": RRB,
-    "MON": MON,
-}
+_BUILTIN_NAMES = {handle.kind.value: handle for handle in (T, SL, C, LRB, RRB)} | {"MON": MON}
 
 
 # parse_variety rejects meet(...)/join(...) nested deeper than this many

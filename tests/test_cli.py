@@ -118,6 +118,16 @@ class TestVerdictCommands:
         assert code == 0
         assert capsys.readouterr().out.strip() == "Unknown (bounds)"
 
+    def test_one_bounds_flag_keeps_the_other_caps(self, tmp_path, capsys):
+        # the default length cap comes from the handle's identities, so
+        # passing the default depth changes nothing
+        path = tmp_path / "pump.ids"
+        path.write_text("x = x^5\nx^5y = yx^5\n")
+        query = ["satisfies", "--variety", f"join(SL, @{path})", "--lhs", "xy", "--rhs", "yx"]
+        for flags in ([], ["--max-depth", "10"]):
+            assert main(query + flags) == 0
+            assert capsys.readouterr().out.strip() == "Yes"
+
     def test_bad_variety_expression(self, capsys):
         assert main(["isoterm", "--variety", "nope", "--word", "x"]) == 2
 

@@ -179,6 +179,21 @@ class TestSuccessorOracle:
                 for q, step in successors.items():
                     assert step.source(sigma) == p and step.target(sigma) == q
 
+    def test_certificates_replay_and_round_trip(self):
+        rng = random.Random(7219)
+        count = 0
+        for _ in range(40):
+            sigma = self.random_system(rng)
+            u = Word(rng.choices(self.NAMES, k=rng.randint(0, 5)))
+            bounds = SearchBounds(8, 4, 200)
+            reached = sorted(explore(sigma, u, bounds).words, key=lambda w: w.key)
+            for v in rng.sample(reached, min(3, len(reached))):
+                cert = derive(sigma, u, v, bounds)
+                assert verify_certificate(sigma, cert, u, v).ok, (sigma, u, v)
+                assert parse_certificate(format_certificate(cert)) == cert
+                count += len(cert)
+        assert count >= 40
+
     def test_class_and_certificates_follow_word_key_order(self):
         a, b = Variable("x2"), Variable("x10")  # Word.key puts b first
         sigma = Presentation.of("xy = yx")
@@ -307,6 +322,11 @@ class TestVerifyCertificate:
         check = verify_certificate(POWER, tampered)
         assert not check.ok and check.step_index == 0
 
+    def test_rejects_wrong_claimed_start(self):
+        cert = derive(POWER, parse_word("x"), parse_word("x^3"), SearchBounds(5, 2))
+        check = verify_certificate(POWER, cert, expect_start=parse_word("x^3"))
+        assert not check.ok and check.step_index is None and "starts at" in check.reason
+
     def test_rejects_wrong_claimed_end(self):
         cert = DerivationCertificate(parse_word("xy"))
         check = verify_certificate(POWER, cert, expect_end=parse_word("yx"))
@@ -349,6 +369,13 @@ class TestClassVerdicts:
         members = {parse_word("xyxyx"), parse_word("yxyxx"), parse_word("z^3")}
         verdict = class_closure_verify(members, parse_word("xyxyx"), SIGMA_X1)
         assert verdict == NotConnected(parse_word("z^3"))
+
+    def test_exact_path_shaped_class(self):
+        # x^2y - xyx - yx^2: yx^2 lies len(members) - 1 steps from x^2y
+        sigma = Presentation.of("x^2y = xyx", "xyx = yx^2")
+        members = {parse_word("x^2y"), parse_word("xyx"), parse_word("yx^2")}
+        verdict = class_closure_verify(members, parse_word("x^2y"), sigma)
+        assert verdict == ExactClass(frozenset(members))
 
     def test_base_word_must_be_member(self):
         with pytest.raises(ValueError):
@@ -490,6 +517,11 @@ class TestCertificateSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_certificate("step: nonsense\n")
+
+    def test_rejects_binding_without_equals(self):
+        text = "start: x\nstep: prefix=1 identity=0 direction=forward subst=x suffix=1\n"
+        with pytest.raises(ValueError, match="bad substitution binding"):
+            parse_certificate(text)
 
 
 class TestBounds:

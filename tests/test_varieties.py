@@ -34,14 +34,18 @@ from monvar import (
 )
 from monvar.varieties import MAX_NESTING
 
-X, Y = Variable("x"), Variable("y")
+X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
 SIGMA_X1 = Presentation.of("xyxyx = yxyxx", "xyyxx = yxxyx")
 SIGMA_Y1 = Presentation.of("xyxyx = xyyxx")
 
 
+def words_over(letters, max_len):
+    return [Word(p) for n in range(max_len + 1) for p in itertools.product(letters, repeat=n)]
+
+
 def words_over_xy(max_len):
-    return [Word(p) for n in range(max_len + 1) for p in itertools.product((X, Y), repeat=n)]
+    return words_over((X, Y), max_len)
 
 
 class TestDeciders:
@@ -127,6 +131,11 @@ class TestComposition:
         verdict = satisfies(Presented(SIGMA_X1), Identity.parse("xy = yx"), SearchBounds(6, 3, 100))
         assert verdict is Verdict.UNKNOWN_BOUNDS
 
+    def test_join_with_an_unknown_part_is_unknown(self):
+        # SL says Yes; the presented part never answers No
+        join = Join((Presented(Presentation.of("x = x^3")), SL))
+        assert satisfies(join, Identity.parse("x = x^2")) is Verdict.UNKNOWN_COMPOSITION
+
 
 class TestMon:
     def test_mon_satisfies_only_trivial_identities(self):
@@ -185,6 +194,17 @@ class TestIsoterms:
 
     def test_join_without_presented_class_is_unknown(self):
         assert isoterm_for(Join((SL, C)), parse_word("xy")) is Verdict.UNKNOWN_COMPOSITION
+
+    def test_meet_with_an_unknown_part_is_unknown(self):
+        # xy is an isoterm for the presented part; the join part is undecided
+        meet = Meet((Join((SL, C)), Presented(Presentation.of("xyxyx = xyyxx"))))
+        assert isoterm_for(meet, parse_word("xy")) is Verdict.UNKNOWN_COMPOSITION
+
+    def test_join_isoterm_with_an_undecided_member(self):
+        # the class {xyxyx, yxyxx} is complete, but x = x^3 neither proves
+        # nor refutes xyxyx = yxyxx
+        join = Join((Presented(SIGMA_X1), Presented(Presentation.of("x = x^3"))))
+        assert isoterm_for(join, parse_word("xyxyx")) is Verdict.UNKNOWN_COMPOSITION
 
 
 class TestWitnesses:
@@ -245,18 +265,14 @@ class TestHandleExpressions:
 
 class TestDeciderOracleSmoke:
     # a small version of the full decider/oracle sweep in the acceptance
-    # suite: all pairs of words of length <= 3
+    # suite: all pairs of words of length <= 3 over two and three letters
     def test_deciders_agree_with_search(self):
-        bounds = SearchBounds(8, 8)
-        words = words_over_xy(3)
-        for kind in (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB):
-            sigma = reference_presentation(kind)
-            handle = Builtin(kind)
-            for u in words:
-                reachable = explore(sigma, u, bounds).words
-                for v in words:
-                    assert satisfies(handle, Identity(u, v)).is_yes == (v in reachable), (
-                        kind,
-                        u,
-                        v,
-                    )
+        for letters, bounds in (((X, Y), SearchBounds(8, 8)), ((X, Y, Z), SearchBounds(6, 6))):
+            words = words_over(letters, 3)
+            for kind in (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB):
+                sigma = reference_presentation(kind)
+                handle = Builtin(kind)
+                for u in words:
+                    reachable = explore(sigma, u, bounds).words
+                    for v in words:
+                        assert satisfies(handle, Identity(u, v)).is_yes == (v in reachable), (kind, u, v)
