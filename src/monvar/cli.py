@@ -8,29 +8,26 @@ PASS_WITH_ASSUMPTIONS; all other commands exit 0 on success, 2 on error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .lattices import (
     ElementProperty,
-    LatticeError,
     check_implications,
     elements_with,
     has_property,
     load_lattice_file,
 )
 from .rewriting import (
-    ContentUnbalancedError,
     Identity,
     Presentation,
-    default_bounds,
+    SearchBounds,
     derive,
     enumerate_class,
     format_certificate,
 )
 from .scenarios import SCENARIO_NAMES, run_scenario
-from .varieties import Join, Meet, Presented, isoterm_for, parse_variety, satisfies
-from .words import WordSyntaxError, format_word, parse_word
+from .varieties import isoterm_for, parse_variety, satisfies
+from .words import format_word, parse_word
 
 
 def _add_bounds_flags(sub: argparse.ArgumentParser) -> None:
@@ -39,27 +36,10 @@ def _add_bounds_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-states", type=int, default=None, help="cap on visited words")
 
 
-def _bounds_from_args(args, sigma: Presentation, *words):
-    """default_bounds(sigma, *words) with the bounds flags applied, or None,
-    leaving each query to its own defaults, when no flag is given."""
-    overrides = {}
-    if args.max_len is not None:
-        overrides["max_word_length"] = args.max_len
-    if args.max_depth is not None:
-        overrides["max_depth"] = args.max_depth
-    if args.max_states is not None:
-        overrides["max_states"] = args.max_states
-    return dataclasses.replace(default_bounds(sigma, *words), **overrides) if overrides else None
-
-
-def _handle_system(handle) -> Presentation:
-    """The identities of every presented part of a handle, which set the
-    default bounds that a lone bounds flag leaves in place."""
-    if isinstance(handle, Presented):
-        return handle.presentation
-    if isinstance(handle, (Meet, Join)):
-        return Presentation(tuple(i for part in handle.parts for i in _handle_system(part).identities))
-    return Presentation()
+def _bounds_from_args(args) -> SearchBounds:
+    """The caps the bounds flags set; every search fills the others itself."""
+    flags = {"max_word_length": args.max_len, "max_depth": args.max_depth, "max_states": args.max_states}
+    return SearchBounds(**{cap: value for cap, value in flags.items() if value is not None})
 
 
 def _load_system(path: str) -> Presentation:
@@ -69,9 +49,7 @@ def _load_system(path: str) -> Presentation:
 
 def _cmd_derive(args) -> int:
     sigma = _load_system(args.system)
-    lhs, rhs = parse_word(args.lhs), parse_word(args.rhs)
-    bounds = _bounds_from_args(args, sigma, lhs, rhs)
-    cert = derive(sigma, lhs, rhs, bounds)
+    cert = derive(sigma, parse_word(args.lhs), parse_word(args.rhs), _bounds_from_args(args))
     if cert is None:
         print("NotFoundWithinBounds")
         return 1
@@ -91,9 +69,7 @@ def _cmd_derive(args) -> int:
 
 def _cmd_class(args) -> int:
     sigma = _load_system(args.system)
-    word = parse_word(args.word)
-    bounds = _bounds_from_args(args, sigma, word)
-    enumeration = enumerate_class(word, sigma, bounds)
+    enumeration = enumerate_class(parse_word(args.word), sigma, _bounds_from_args(args))
     status = "Complete" if enumeration.complete else "CapExceeded (partial)"
     print(f"{status}: {len(enumeration.words)} words")
     for member in sorted(enumeration.words, key=lambda w: w.key):
@@ -102,16 +78,14 @@ def _cmd_class(args) -> int:
 
 
 def _cmd_isoterm(args) -> int:
-    handle = parse_variety(args.variety)
-    word = parse_word(args.word)
-    print(isoterm_for(handle, word, _bounds_from_args(args, _handle_system(handle), word)))
+    print(isoterm_for(parse_variety(args.variety), parse_word(args.word), _bounds_from_args(args)))
     return 0
 
 
 def _cmd_satisfies(args) -> int:
     handle = parse_variety(args.variety)
     identity = Identity(parse_word(args.lhs), parse_word(args.rhs))
-    print(satisfies(handle, identity, _bounds_from_args(args, _handle_system(handle), identity.lhs, identity.rhs)))
+    print(satisfies(handle, identity, _bounds_from_args(args)))
     return 0
 
 
@@ -223,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WordSyntaxError, ContentUnbalancedError, LatticeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -165,14 +165,16 @@ class Presentation:
 @dataclass(frozen=True)
 class SearchBounds:
     """Caps making breadth-first derivation search terminate.  Derivability
-    itself is unbounded, so exhausting these bounds never refutes anything."""
+    itself is unbounded, so exhausting these bounds never refutes anything.
+    A length cap left unset is filled by each search from its own words, as
+    default_bounds does, so SearchBounds() means every default."""
 
-    max_word_length: int
+    max_word_length: int | None = None
     max_depth: int = 10
     max_states: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_word_length <= 0 or self.max_depth <= 0 or self.max_states <= 0:
+        if any(cap is not None and cap <= 0 for cap in (self.max_word_length, self.max_depth, self.max_states)):
             raise ValueError("all search bounds must be strictly positive")
 
 
@@ -468,7 +470,7 @@ class Rewriter:
         if found is None:
             self._misses += 1
             found = self._expand(s)
-            if _admit(self):
+            if _admit(self, 1 + len(found)):
                 self._memo[s] = found
         return found
 
@@ -491,43 +493,46 @@ class Rewriter:
 
 # The registry shares one Rewriter between equal presentations.  It holds at
 # most _MAX_REWRITERS of them, dropping the oldest first, and all their memos
-# together hold at most MAX_MEMO_WORDS words: when that budget is spent every
-# memo is emptied.  A rewriter that has left the registry memoises nothing.
-MAX_MEMO_WORDS = 65_536
+# together hold at most MAX_MEMO_ENTRIES entries, one per memoised word and
+# one per successor it holds (pruned ones included, so the budget bounds
+# memory): when that budget is spent every memo is emptied.  A rewriter that
+# has left the registry memoises nothing.
+MAX_MEMO_ENTRIES = 1 << 20
 _MAX_REWRITERS = 256
 _REGISTRY: dict[Presentation, Rewriter] = {}
-_memo_words = 0
+_memo_entries = 0
 
 
 def _register(rewriter: Rewriter) -> None:
-    global _memo_words
+    global _memo_entries
     if len(_REGISTRY) >= _MAX_REWRITERS:
         oldest = _REGISTRY.pop(next(iter(_REGISTRY)))
-        _memo_words -= len(oldest._memo)
+        _memo_entries -= sum(1 + len(found) for found in oldest._memo.values())
         oldest._memo.clear()
     _REGISTRY[rewriter.presentation] = rewriter
 
 
-def _admit(rewriter: Rewriter) -> bool:
-    """Whether rewriter may memoise one more word, which is then counted."""
-    global _memo_words
-    if _REGISTRY.get(rewriter.presentation) is not rewriter:
+def _admit(rewriter: Rewriter, entries: int) -> bool:
+    """Whether rewriter may memoise a word holding entries - 1 successors,
+    whose entries are then counted."""
+    global _memo_entries
+    if _REGISTRY.get(rewriter.presentation) is not rewriter or entries > MAX_MEMO_ENTRIES:
         return False
-    if _memo_words >= MAX_MEMO_WORDS:
+    if _memo_entries + entries > MAX_MEMO_ENTRIES:
         for registered in _REGISTRY.values():
             registered._memo.clear()
-        _memo_words = 0
-    _memo_words += 1
+        _memo_entries = 0
+    _memo_entries += entries
     return True
 
 
 def clear_successor_cache() -> None:
     """Empty the registry, and with it every successor memo."""
-    global _memo_words
+    global _memo_entries
     for rewriter in _REGISTRY.values():
         rewriter._memo.clear()
     _REGISTRY.clear()
-    _memo_words = 0
+    _memo_entries = 0
 
 
 def match_pattern(pattern: Word, target: Word) -> set[Substitution]:
@@ -604,12 +609,15 @@ def explore(
 
     Words are visited in shortlex order within each level, successors longer
     than the length cap are pruned, and the search stops early when stop_at
-    is discovered.  Every exact operation of this module wraps this search.
+    is discovered.  An unset length cap is default_bounds(sigma, start,
+    stop_at)'s, and the Exploration records the caps used.  Every exact
+    operation of this module wraps this search.
     """
     rewriter = Rewriter.of(sigma)
-    if bounds is None:
+    bounds = bounds or SearchBounds()
+    if bounds.max_word_length is None:
         extra = (stop_at,) if stop_at is not None else ()
-        bounds = default_bounds(sigma, start, *extra)
+        bounds = replace(bounds, max_word_length=default_bounds(sigma, start, *extra).max_word_length)
     alphabet, origin = _encode(start)
     target = None
     if stop_at is not None:
@@ -650,7 +658,8 @@ def derive(
     v: Word,
     bounds: SearchBounds | None = None,
 ) -> DerivationCertificate | None:
-    """Search for a derivation of u = v from sigma within bounds (default_bounds(sigma, u, v) by default).
+    """Search for a derivation of u = v from sigma within bounds; an unset
+    length cap is default_bounds(sigma, u, v)'s.
 
     Returns a certificate whose replay starts at u and ends at v, or None
     when the bounded search exhausts.  None is never a refutation; exact

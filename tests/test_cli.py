@@ -119,14 +119,21 @@ class TestVerdictCommands:
         assert capsys.readouterr().out.strip() == "Unknown (bounds)"
 
     def test_one_bounds_flag_keeps_the_other_caps(self, tmp_path, capsys):
-        # the default length cap comes from the handle's identities, so
-        # passing the default depth changes nothing
-        path = tmp_path / "pump.ids"
-        path.write_text("x = x^5\nx^5y = yx^5\n")
-        query = ["satisfies", "--variety", f"join(SL, @{path})", "--lhs", "xy", "--rhs", "yx"]
-        for flags in ([], ["--max-depth", "10"]):
-            assert main(query + flags) == 0
-            assert capsys.readouterr().out.strip() == "Yes"
+        # the default length cap comes from the identities and words each
+        # search sees, so passing a default cap changes nothing; each part of
+        # the second join takes its own (6 and 8), not one from both parts
+        (tmp_path / "pump.ids").write_text("x = x^5\nx^5y = yx^5\n")
+        (tmp_path / "a.ids").write_text("x = x^3\nx^2y = yx^2\n")
+        (tmp_path / "b.ids").write_text("xyx = x^2y\nx^2 = x^4\n")
+        cases = [
+            ("join(SL, @{0}/pump.ids)", "xy", "yx", "Yes"),
+            ("join(@{0}/a.ids, @{0}/b.ids)", "xyx", "x^2y", "Unknown (composition)"),
+        ]
+        for variety, lhs, rhs, verdict in cases:
+            query = ["satisfies", "--variety", variety.format(tmp_path), "--lhs", lhs, "--rhs", rhs]
+            for flags in ([], ["--max-depth", "10"], ["--max-states", "1000000"]):
+                assert main(query + flags) == 0
+                assert capsys.readouterr().out.strip() == verdict, (variety, flags)
 
     def test_bad_variety_expression(self, capsys):
         assert main(["isoterm", "--variety", "nope", "--word", "x"]) == 2
@@ -142,6 +149,10 @@ class TestLatticeCommand:
         code = main(["lattice", "--file", pentagon_file, "--element", "b", "--property", "modular"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "false"
+
+    def test_element_without_property_is_an_error(self, pentagon_file, capsys):
+        assert main(["lattice", "--file", pentagon_file, "--element", "b"]) == 2
+        assert "must be given together" in capsys.readouterr().err
 
     def test_table(self, pentagon_file, capsys):
         code = main(["lattice", "--file", pentagon_file, "--table"])

@@ -250,13 +250,15 @@ class TestRewriter:
         assert isoterm_exact(parse_word("yxyxx"), SIGMA_X1) is False
         assert (rewriter.calls, rewriter.hits, rewriter.misses) == (5, 3, 2)
 
-    def test_memo_budget_is_shared_and_kept(self, monkeypatch):
+    def test_memo_entry_budget_is_shared_and_kept(self, monkeypatch):
         clear_successor_cache()
-        monkeypatch.setattr(rewriting, "MAX_MEMO_WORDS", 5)
+        monkeypatch.setattr(rewriting, "MAX_MEMO_ENTRIES", 5)
         bounds = SearchBounds(8, 8)
         power, commuting = Rewriter.of(POWER), Rewriter.of(SIGMA_E)
         capped = [explore(POWER, parse_word("x"), bounds), explore(SIGMA_E, parse_word("xyxy"), bounds)]
-        assert power.memoised + commuting.memoised <= 5
+        # one entry per memoised word and one per successor it holds
+        entries = sum(1 + len(found) for rewriter in (power, commuting) for found in rewriter._memo.values())
+        assert entries == rewriting._memo_entries <= 5
         assert commuting.misses > 5
         clear_successor_cache()
         monkeypatch.undo()
@@ -268,6 +270,21 @@ class TestRewriter:
         for k in range(3, 3 + rewriting._MAX_REWRITERS):
             Rewriter.of(Presentation.of(f"x = x^{k}"))
         assert Rewriter.of(Presentation.of("x = x^2")) is not first
+        clear_successor_cache()
+
+    def test_evicted_rewriter_memoises_nothing(self):
+        clear_successor_cache()
+        evicted = Rewriter.of(POWER)
+        explore(POWER, parse_word("x"), SearchBounds(8, 8))
+        assert evicted.memoised > 0 and rewriting._memo_entries > 0
+        for k in range(3, 3 + rewriting._MAX_REWRITERS):
+            Rewriter.of(Presentation.of(f"x^2 = x^{k}"))
+        # eviction empties the memo and takes its entries off the budget count
+        assert (evicted.memoised, rewriting._memo_entries) == (0, 0)
+        misses = evicted.misses
+        _, code = rewriting._encode(parse_word("x"))
+        assert "\0" * 3 in [q for q, _link in evicted._successors(code)]
+        assert (evicted.misses, evicted.memoised, rewriting._memo_entries) == (misses + 1, 0, 0)
         clear_successor_cache()
 
 
@@ -310,6 +327,12 @@ class TestDerive:
 
 
 class TestVerifyCertificate:
+    def test_check_is_true_exactly_when_ok(self):
+        cert = derive(POWER, parse_word("x"), parse_word("x^3"), SearchBounds(5, 2))
+        for check in (verify_certificate(POWER, cert), verify_certificate(Presentation(), cert)):
+            assert bool(check) is check.ok
+        assert verify_certificate(POWER, cert) and not verify_certificate(Presentation(), cert)
+
     def test_rejects_tampered_substitution(self):
         cert = derive(POWER, parse_word("x^9yx^3"), parse_word("x^7yx^5"), SearchBounds(13, 4))
         step = cert.steps[0]
@@ -534,6 +557,15 @@ class TestBounds:
     def test_default_bounds_cover_arguments_and_sides(self):
         b = default_bounds(SIGMA_X1, parse_word("x^9yx^3"))
         assert b.max_word_length == 26
+
+    def test_search_fills_an_unset_length_cap(self):
+        assert SearchBounds() == SearchBounds(None, 10, 1_000_000)
+        with pytest.raises(ValueError):
+            SearchBounds(0)
+        w = parse_word("x^9yx^3")
+        for depth in (1, 10):
+            used = explore(SIGMA_X1, w, SearchBounds(max_depth=depth)).bounds
+            assert used == SearchBounds(default_bounds(SIGMA_X1, w).max_word_length, depth)
 
 
 # SHA-256 of the certificate texts of acceptance criterion 7's decider sweep
