@@ -18,7 +18,12 @@ rejected with ContentUnbalancedError instead of being silently truncated.
 All searches go through one Rewriter per presentation, shared by equal
 presentations through a bounded registry.  It holds the compiled rules (both
 orientations, as variable-slot patterns), a memo of successor sets and the
-memo's counters.  Internally a word is a str with one character per letter,
+memo's counters.  A memo entry holds a word's successors within the length
+cap it was built under, plus an overflow flag saying whether a longer one
+exists; a rule that never shortens a word does not even build the longer
+ones.  An entry without overflow is complete and serves every cap, and a
+request for a larger cap, or for no cap, expands the word again, which
+counts as a miss.  Internally a word is a str with one character per letter,
 coded in the name order of its content, so shortlex order is string order;
 Word stays the public type, and a RewriteStep is built only for a
 certificate or for one_step_successors.
@@ -31,6 +36,7 @@ connectivity.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -319,35 +325,57 @@ def _pattern(letters: tuple[Variable, ...]) -> tuple[tuple, tuple[Variable, ...]
     return tuple(runs), tuple(slots)
 
 
-def _matches(runs: tuple, slots: int, s: str, start: int) -> list[tuple[int, tuple[str, ...]]]:
+def _matches(
+    runs: tuple,
+    slots: int,
+    s: str,
+    start: int,
+    growth: tuple[int, ...] | None = None,
+    budget: int = 0,
+) -> tuple[list[tuple[int, tuple[str, ...]]], bool]:
     """Every (end, images) with the pattern matching s[start:end] under the
     binding slot j -> images[j], in depth-first order: each variable's first
     run tries images of increasing length, and later runs must repeat the
     chosen image.  The search keeps an explicit stack with one frame per
-    variable, so its depth does not grow with the pattern's length."""
+    variable, so its depth does not grow with the pattern's length.
+
+    Given growth, a nonnegative weight per slot, only the bindings with
+    sum(growth[j] * len(images[j])) <= budget are listed, in the same order:
+    an image stops lengthening where it would overshoot.  The second result
+    says whether that cut short some image; a longer one may still fail to
+    match, so a cut does not prove an overshooting binding exists."""
     n = len(s)
     last = len(runs) - 1
     images = [""] * slots
     found = []
-    frames: list[tuple[int, int, int]] = []  # (run index, position, image length)
-    k, pos = 0, start
+    cut = False
+    # (run index, position, image length, growth spent before it, longest image)
+    frames: list[tuple[int, int, int, int, int]] = []
+    k, pos, spent = 0, start, 0
     while True:
         while k <= last:
-            slot, repeat, first, _ = runs[k]
+            slot, repeat, first, occurrences = runs[k]
+            if first:
+                # An image fits only if every occurrence of the variable fits.
+                longest = (n - pos) // occurrences
+                weight = growth[slot] if growth else 0
+                if weight and (budget - spent) // weight < longest:
+                    longest = (budget - spent) // weight
+                    cut = True
             if first and k == last:
                 # The final run holds the last slot's only occurrences: every
                 # image that fits ends a match, so they are listed without frames.
                 bound = tuple(images[:-1])
                 if repeat == 1:
-                    found += [(end, (*bound, s[pos:end])) for end in range(pos, n + 1)]
+                    found += [(end, (*bound, s[pos:end])) for end in range(pos, pos + longest + 1)]
                 else:
-                    for length in range((n - pos) // repeat + 1):
+                    for length in range(longest + 1):
                         image = s[pos : pos + length]
                         if s.startswith(image * repeat, pos):
                             found.append((pos + repeat * length, (*bound, image)))
                 break
             if first:
-                frames.append((k, pos, 0))
+                frames.append((k, pos, 0, spent, longest))
                 images[slot] = ""
             else:
                 image = images[slot] * repeat
@@ -357,24 +385,25 @@ def _matches(runs: tuple, slots: int, s: str, start: int) -> list[tuple[int, tup
             k += 1
         else:
             found.append((pos, tuple(images)))
-        # Backtrack to the latest first run that can take a longer image; its
-        # image fits only if every occurrence of the variable still fits.
+        # Backtrack to the latest first run that can take a longer image.
         while frames:
-            k, pos, length = frames.pop()
-            slot, repeat, _, occurrences = runs[k]
-            for length in range(length + 1, (n - pos) // occurrences + 1):
+            k, pos, length, spent, longest = frames.pop()
+            slot, repeat, _, _ = runs[k]
+            for length in range(length + 1, longest + 1):
                 image = s[pos : pos + length]
                 if repeat == 1 or s.startswith(image * (repeat - 1), pos + length):
                     break
             else:
                 continue
-            frames.append((k, pos, length))
+            frames.append((k, pos, length, spent, longest))
             images[slot] = image
             pos += repeat * length
+            if growth:
+                spent += growth[slot] * length
             k += 1
             break
         else:
-            return found
+            return found, cut
 
 
 class _Rule(NamedTuple):
@@ -385,6 +414,7 @@ class _Rule(NamedTuple):
     src: tuple  # runs of the rewritten side, as made by _pattern
     image: str  # format template of the replacing side, fields by slot
     variables: tuple[Variable, ...]  # by slot
+    growth: tuple[int, ...]  # by slot: occurrences on the replacing side minus the rewritten side's
 
 
 def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
@@ -402,8 +432,19 @@ def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
             image = "".join(f"{{{slot[v]}}}" for v in dst.letters)
             if (runs, image) not in seen:
                 seen.add((runs, image))
-                rules.append(_Rule(index, forward, runs, image, variables))
+                growth = tuple(dst.letters.count(v) - src.letters.count(v) for v in variables)
+                rules.append(_Rule(index, forward, runs, image, variables, growth))
     return tuple(rules)
+
+
+class _Entry(NamedTuple):
+    """A memo entry: a word's successor codes no longer than cap, each with
+    its link, in shortlex order, and whether the word has a longer successor.
+    An entry without overflow holds every successor and serves any cap."""
+
+    successors: tuple[tuple[str, tuple], ...]
+    cap: int | None
+    overflow: bool
 
 
 def _step(alphabet: tuple[Variable, ...], source: str, link: tuple) -> RewriteStep:
@@ -420,16 +461,18 @@ class Rewriter:
 
     Get it with Rewriter.of(sigma), which returns one shared instance for
     all equal presentations; a Rewriter(sigma) built directly is not shared
-    and memoises nothing.  The memo maps a word code to its successor codes
-    in shortlex order, each with a link (prefix end, suffix start, rule,
-    images) from which the RewriteStep is built on demand.
+    and memoises nothing.  The memo maps a word code to an _Entry: its
+    successor codes within the length cap it was built under, in shortlex
+    order, each with a link (prefix end, suffix start, rule, images) from
+    which the RewriteStep is built on demand, and a flag saying whether a
+    longer successor was left out.
     """
 
     def __init__(self, sigma: Presentation):
         sigma.require_content_balanced()
         self.presentation = sigma
         self._rules = _compile(sigma)
-        self._memo: dict[str, tuple[tuple[str, tuple], ...]] = {}
+        self._memo: dict[str, _Entry] = {}
         self._calls = 0
         self._misses = 0
 
@@ -463,40 +506,67 @@ class Rewriter:
         """Words whose successors the memo holds now."""
         return len(self._memo)
 
-    def _successors(self, s: str) -> tuple[tuple[str, tuple], ...]:
-        """The successor codes and links of the word code s, memoised."""
+    def _successors(self, s: str, cap: int | None = None) -> _Entry:
+        """The memo entry of the word code s for a request for its successors
+        no longer than cap, which is at least len(s), or for all of them when
+        cap is None.  An entry that left out successors the request wants is
+        expanded again, which counts as a miss."""
         self._calls += 1
-        found = self._memo.get(s)
-        if found is None:
+        entry = self._memo.get(s)
+        if entry is None or entry.overflow and (cap is None or cap > entry.cap):
             self._misses += 1
-            found = self._expand(s)
-            if _admit(self, 1 + len(found)):
-                self._memo[s] = found
-        return found
+            if entry is not None:
+                _release(self, s)
+            entry = self._expand(s, cap)
+            if _admit(self, 1 + len(entry.successors)):
+                self._memo[s] = entry
+        return entry
 
-    def _expand(self, s: str) -> tuple[tuple[str, tuple], ...]:
+    def _expand(self, s: str, cap: int | None) -> _Entry:
         # The first step found for a successor is kept: identities in order,
         # forward before backward, prefixes by length, bindings depth-first.
+        # A successor longer than cap is left out and noted in overflow.  A
+        # rule with no shrinking slot does not build one: its images stop
+        # lengthening at the budget, and a cut is confirmed by matching again
+        # without it.  Any other rule measures each new successor it builds,
+        # which costs less than summing a match's growth first.
+        n = len(s)
+        limit = math.inf if cap is None else cap
+        budget = limit - n
         found: dict[str, tuple] = {}
+        overflow = False
         for rule in self._rules:
-            runs, slots, image = rule.src, len(rule.variables), rule.image.format
-            for i in range(len(s) + 1):
+            runs, slots, image, growth = rule.src, len(rule.variables), rule.image.format, rule.growth
+            budgeted = cap is not None and min(growth, default=0) >= 0
+            for i in range(n + 1):
+                if budgeted:
+                    matches, cut = _matches(runs, slots, s, i, growth, budget)
+                    if cut and not overflow:
+                        rest = _matches(runs, slots, s, i)[0]
+                        overflow = any(len(image(*images)) - (end - i) > budget for end, images in rest)
+                else:
+                    matches, _ = _matches(runs, slots, s, i)
                 head = s[:i]
-                for end, images in _matches(runs, slots, s, i):
+                for end, images in matches:
                     q = head + image(*images) + s[end:]
                     if q not in found:
+                        if len(q) > limit:
+                            overflow = True
+                            continue
                         found[q] = (i, end, rule, images)
         order = list(found)
         _shortlex_sort(order)
-        return tuple([(q, found[q]) for q in order])
+        return _Entry(tuple([(q, found[q]) for q in order]), cap, overflow)
 
 
 # The registry shares one Rewriter between equal presentations.  It holds at
 # most _MAX_REWRITERS of them, dropping the oldest first, and all their memos
 # together hold at most MAX_MEMO_ENTRIES entries, one per memoised word and
-# one per successor it holds (pruned ones included, so the budget bounds
-# memory): when that budget is spent every memo is emptied.  A rewriter that
-# has left the registry memoises nothing.
+# one per successor it holds.  An entry holds only the successors within the
+# cap it was built under, with an overflow flag for longer ones; an entry
+# without overflow serves every cap, and one re-expanded for a larger cap
+# replaces the old entry in the count.  When the budget is spent every memo
+# is emptied.  A rewriter that has left the registry memoises nothing.
 MAX_MEMO_ENTRIES = 1 << 20
 _MAX_REWRITERS = 256
 _REGISTRY: dict[Presentation, Rewriter] = {}
@@ -507,7 +577,7 @@ def _register(rewriter: Rewriter) -> None:
     global _memo_entries
     if len(_REGISTRY) >= _MAX_REWRITERS:
         oldest = _REGISTRY.pop(next(iter(_REGISTRY)))
-        _memo_entries -= sum(1 + len(found) for found in oldest._memo.values())
+        _memo_entries -= sum(1 + len(entry.successors) for entry in oldest._memo.values())
         oldest._memo.clear()
     _REGISTRY[rewriter.presentation] = rewriter
 
@@ -526,6 +596,12 @@ def _admit(rewriter: Rewriter, entries: int) -> bool:
     return True
 
 
+def _release(rewriter: Rewriter, s: str) -> None:
+    """Take the memo entry of s out of rewriter's memo and off the count."""
+    global _memo_entries
+    _memo_entries -= 1 + len(rewriter._memo.pop(s).successors)
+
+
 def clear_successor_cache() -> None:
     """Empty the registry, and with it every successor memo."""
     global _memo_entries
@@ -541,7 +617,7 @@ def match_pattern(pattern: Word, target: Word) -> set[Substitution]:
     alphabet, s = _encode(target)
     return {
         Substitution({v: _word(alphabet, image) for v, image in zip(variables, images)})
-        for end, images in _matches(runs, len(variables), s, 0)
+        for end, images in _matches(runs, len(variables), s, 0)[0]
         if end == len(s)
     }
 
@@ -556,7 +632,7 @@ def one_step_successors(p: Word, sigma: Presentation) -> dict[Word, RewriteStep]
     """
     rewriter = Rewriter.of(sigma)
     alphabet, s = _encode(p)
-    return {_word(alphabet, q): _step(alphabet, s, link) for q, link in rewriter._successors(s)}
+    return {_word(alphabet, q): _step(alphabet, s, link) for q, link in rewriter._successors(s).successors}
 
 
 @dataclass
@@ -607,11 +683,13 @@ def explore(
 ) -> Exploration:
     """Breadth-first search over one-step successors from start.
 
-    Words are visited in shortlex order within each level, successors longer
-    than the length cap are pruned, and the search stops early when stop_at
-    is discovered.  An unset length cap is default_bounds(sigma, start,
-    stop_at)'s, and the Exploration records the caps used.  Every exact
-    operation of this module wraps this search.
+    Words are visited in shortlex order within each level, and the search
+    stops early when stop_at is discovered.  Successors longer than the
+    length cap are never memoised or visited: the memo notes only that one
+    exists, which keeps the closure from counting as saturated.  An unset
+    length cap is default_bounds(sigma, start, stop_at)'s, and the
+    Exploration records the caps used.  Every exact operation of this module
+    wraps this search.
     """
     rewriter = Rewriter.of(sigma)
     bounds = bounds or SearchBounds()
@@ -625,6 +703,10 @@ def explore(
         if stop_alphabet == alphabet:  # rewriting preserves content
             target = stop_code
     max_length, max_states = bounds.max_word_length, bounds.max_states
+    # Every visited word is at most limit long, so a successor longer than
+    # limit, which the memo does not build, is never a visited one: its
+    # existence (the entry's overflow) prunes exactly as its length would.
+    limit = max(max_length, len(origin))
     parents: dict[str, tuple[str, tuple] | None] = {origin: None}
     frontier = [origin]
     pruned = False
@@ -632,7 +714,10 @@ def explore(
     while frontier and depth < bounds.max_depth:
         next_frontier: list[str] = []
         for p in frontier:
-            for q, link in rewriter._successors(p):
+            successors, _, overflow = rewriter._successors(p, limit)
+            if overflow:
+                pruned = True
+            for q, link in successors:
                 if q in parents:  # p itself included
                     continue
                 if len(q) > max_length:
@@ -720,15 +805,23 @@ def class_closure_verify(candidate: set[Word] | frozenset[Word], w: Word, sigma:
     # Successors keep content, so a successor is a member exactly when its
     # (alphabet, code) pair is a member's.
     codes = {_encode(member) for member in ordered}
+    longest = max(1, *map(len, members))
     for member in ordered:
         alphabet, s = _encode(member)
-        for q, _link in rewriter._successors(s):
+        # An entry within a cap holds a shortlex prefix of the successors, and
+        # those it leaves out are longer than every member: the first of them
+        # is the witness only when every successor held is a member.
+        successors, _, overflow = rewriter._successors(s, longest)
+        for q, _link in successors:
             if (alphabet, q) not in codes:
                 return NotClosed(member, _word(alphabet, q))
+        if overflow:
+            q, _link = rewriter._successors(s).successors[len(successors)]
+            return NotClosed(member, _word(alphabet, q))
     # The candidate is closed, so everything reachable from w is a member and
     # these caps prune nothing: the search reaches exactly w's class.
     n = len(members)
-    reached = explore(sigma, w, SearchBounds(max(1, *map(len, members)), n, n)).words
+    reached = explore(sigma, w, SearchBounds(longest, n, n)).words
     for member in ordered:
         if member not in reached:
             return NotConnected(member)

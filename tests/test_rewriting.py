@@ -194,6 +194,32 @@ class TestSuccessorOracle:
                 count += len(cert)
         assert count >= 40
 
+    def test_capped_successors_are_the_uncapped_ones_within_the_cap(self):
+        # growing, shrinking and mixed-sign (x^2y = xy^2) orientations
+        rng = random.Random(6113)
+        systems = [Presentation.of("x^2y = xy^2"), POWER, Presentation.of("xyx = xy"), SIGMA_E]
+        systems += [self.random_system(rng) for _ in range(40)]
+        overflowed = 0
+        for sigma in systems:
+            rewriter = Rewriter(sigma)  # not shared, so every call expands afresh
+            for _ in range(4):
+                _, s = rewriting._encode(Word(rng.choices(self.NAMES, k=rng.randint(0, 5))))
+                everything = rewriter._successors(s)
+                assert not everything.overflow
+                for cap in range(1, len(s) + 4):
+                    limit = max(cap, len(s))
+                    entry = rewriter._successors(s, limit)
+                    # same codes in the same order, each with its uncapped link
+                    within = [(q, link) for q, link in everything.successors if len(q) <= limit]
+                    assert list(entry.successors) == within, (sigma, s, limit)
+                    assert entry.overflow == (len(within) < len(everything.successors)), (sigma, s, limit)
+                    overflowed += entry.overflow
+        assert overflowed >= 100
+        # a start word longer than the cap still expands within its own length
+        power = explore(Presentation.of("x = x^2"), parse_word("x^5"), SearchBounds(3))
+        assert power.words == {parse_word(w) for w in ("x", "x^2", "x^3", "x^5")}
+        assert not power.saturated
+
     def test_class_and_certificates_follow_word_key_order(self):
         a, b = Variable("x2"), Variable("x10")  # Word.key puts b first
         sigma = Presentation.of("xy = yx")
@@ -257,7 +283,7 @@ class TestRewriter:
         power, commuting = Rewriter.of(POWER), Rewriter.of(SIGMA_E)
         capped = [explore(POWER, parse_word("x"), bounds), explore(SIGMA_E, parse_word("xyxy"), bounds)]
         # one entry per memoised word and one per successor it holds
-        entries = sum(1 + len(found) for rewriter in (power, commuting) for found in rewriter._memo.values())
+        entries = sum(1 + len(entry.successors) for rewriter in (power, commuting) for entry in rewriter._memo.values())
         assert entries == rewriting._memo_entries <= 5
         assert commuting.misses > 5
         clear_successor_cache()
@@ -283,8 +309,42 @@ class TestRewriter:
         assert (evicted.memoised, rewriting._memo_entries) == (0, 0)
         misses = evicted.misses
         _, code = rewriting._encode(parse_word("x"))
-        assert "\0" * 3 in [q for q, _link in evicted._successors(code)]
+        assert "\0" * 3 in [q for q, _link in evicted._successors(code).successors]
         assert (evicted.misses, evicted.memoised, rewriting._memo_entries) == (misses + 1, 0, 0)
+        clear_successor_cache()
+
+    def test_caps_interplay_as_with_a_fresh_registry(self):
+        # a memo warmed at one cap answers smaller, larger and uncapped
+        # requests exactly as a fresh registry does
+        cases = [
+            (Presentation.of("x^2y = xy^2"), "x^2y"),
+            (Presentation.of("xyx = xy"), "xyx"),
+            (POWER, "x^2"),
+            (SIGMA_E, "xyx"),
+        ]
+        for sigma, text in cases:
+            start = parse_word(text)
+            warm = explore(sigma, start, SearchBounds(4, 6))
+
+            def explored(cap):
+                found = explore(sigma, start, SearchBounds(cap, 6))
+                return found.parents, found.saturated
+
+            queries = [lambda cap=cap: explored(cap) for cap in (2, 3, 6, 8, 3)]
+            queries.append(lambda: {w: one_step_successors(w, sigma) for w in warm.words})
+            queries.append(lambda: class_closure_verify(warm.words, start, sigma))
+            queries.append(lambda: explored(4))
+            fresh = []
+            for query in queries:
+                clear_successor_cache()
+                fresh.append(query())
+            clear_successor_cache()
+            explore(sigma, start, SearchBounds(4, 6))
+            assert [query() for query in queries] == fresh, sigma
+        clear_successor_cache()
+        sigma, start = Presentation.of("x^2y = xy^2"), parse_word("x^2y")
+        words = explore(sigma, start, SearchBounds(4)).words
+        assert class_closure_verify(words, start, sigma) == NotClosed(start, parse_word("x^4y"))
         clear_successor_cache()
 
 
