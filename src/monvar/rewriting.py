@@ -19,13 +19,12 @@ All searches go through one Rewriter per presentation, shared by equal
 presentations through a bounded registry.  It holds the compiled rules (both
 orientations, as variable-slot patterns), a memo of successor sets and the
 memo's counters.  A memo entry holds a word's successors within the length
-cap it was built under, plus an overflow flag saying whether a longer one
-exists; a rule that never shortens a word does not even build the longer
-ones.  An entry without overflow is complete and serves every cap, and a
-request for a larger cap, or for no cap, expands the word again, which
-counts as a miss.  Internally a word is a str with one character per letter,
-coded in the name order of its content, so shortlex order is string order;
-Word stays the public type, and a RewriteStep is built only for a
+cap it was built under, and keeps that cap only when a longer successor
+was left out.  An entry that left out nothing is complete and serves every
+cap, and a request for a larger cap, or for no cap, expands the word again,
+which counts as a miss.  Internally a word is a str with one character per
+letter, coded in the name order of its content, so shortlex order is string
+order; Word stays the public type, and a RewriteStep is built only for a
 certificate or for one_step_successors.
 
 Every exact operation wraps one search, explore: derive stops it at its
@@ -325,57 +324,35 @@ def _pattern(letters: tuple[Variable, ...]) -> tuple[tuple, tuple[Variable, ...]
     return tuple(runs), tuple(slots)
 
 
-def _matches(
-    runs: tuple,
-    slots: int,
-    s: str,
-    start: int,
-    growth: tuple[int, ...] | None = None,
-    budget: int = 0,
-) -> tuple[list[tuple[int, tuple[str, ...]]], bool]:
+def _matches(runs: tuple, slots: int, s: str, start: int) -> list[tuple[int, tuple[str, ...]]]:
     """Every (end, images) with the pattern matching s[start:end] under the
     binding slot j -> images[j], in depth-first order: each variable's first
     run tries images of increasing length, and later runs must repeat the
     chosen image.  The search keeps an explicit stack with one frame per
-    variable, so its depth does not grow with the pattern's length.
-
-    Given growth, a nonnegative weight per slot, only the bindings with
-    sum(growth[j] * len(images[j])) <= budget are listed, in the same order:
-    an image stops lengthening where it would overshoot.  The second result
-    says whether that cut short some image; a longer one may still fail to
-    match, so a cut does not prove an overshooting binding exists."""
+    variable, so its depth does not grow with the pattern's length."""
     n = len(s)
     last = len(runs) - 1
     images = [""] * slots
     found = []
-    cut = False
-    # (run index, position, image length, growth spent before it, longest image)
-    frames: list[tuple[int, int, int, int, int]] = []
-    k, pos, spent = 0, start, 0
+    frames: list[tuple[int, int, int]] = []  # (run index, position, image length)
+    k, pos = 0, start
     while True:
         while k <= last:
-            slot, repeat, first, occurrences = runs[k]
-            if first:
-                # An image fits only if every occurrence of the variable fits.
-                longest = (n - pos) // occurrences
-                weight = growth[slot] if growth else 0
-                if weight and (budget - spent) // weight < longest:
-                    longest = (budget - spent) // weight
-                    cut = True
+            slot, repeat, first, _ = runs[k]
             if first and k == last:
                 # The final run holds the last slot's only occurrences: every
                 # image that fits ends a match, so they are listed without frames.
                 bound = tuple(images[:-1])
                 if repeat == 1:
-                    found += [(end, (*bound, s[pos:end])) for end in range(pos, pos + longest + 1)]
+                    found += [(end, (*bound, s[pos:end])) for end in range(pos, n + 1)]
                 else:
-                    for length in range(longest + 1):
+                    for length in range((n - pos) // repeat + 1):
                         image = s[pos : pos + length]
                         if s.startswith(image * repeat, pos):
                             found.append((pos + repeat * length, (*bound, image)))
                 break
             if first:
-                frames.append((k, pos, 0, spent, longest))
+                frames.append((k, pos, 0))
                 images[slot] = ""
             else:
                 image = images[slot] * repeat
@@ -385,25 +362,24 @@ def _matches(
             k += 1
         else:
             found.append((pos, tuple(images)))
-        # Backtrack to the latest first run that can take a longer image.
+        # Backtrack to the latest first run that can take a longer image; its
+        # image fits only if every occurrence of the variable still fits.
         while frames:
-            k, pos, length, spent, longest = frames.pop()
-            slot, repeat, _, _ = runs[k]
-            for length in range(length + 1, longest + 1):
+            k, pos, length = frames.pop()
+            slot, repeat, _, occurrences = runs[k]
+            for length in range(length + 1, (n - pos) // occurrences + 1):
                 image = s[pos : pos + length]
                 if repeat == 1 or s.startswith(image * (repeat - 1), pos + length):
                     break
             else:
                 continue
-            frames.append((k, pos, length, spent, longest))
+            frames.append((k, pos, length))
             images[slot] = image
             pos += repeat * length
-            if growth:
-                spent += growth[slot] * length
             k += 1
             break
         else:
-            return found, cut
+            return found
 
 
 class _Rule(NamedTuple):
@@ -414,7 +390,6 @@ class _Rule(NamedTuple):
     src: tuple  # runs of the rewritten side, as made by _pattern
     image: str  # format template of the replacing side, fields by slot
     variables: tuple[Variable, ...]  # by slot
-    growth: tuple[int, ...]  # by slot: occurrences on the replacing side minus the rewritten side's
 
 
 def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
@@ -432,19 +407,18 @@ def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
             image = "".join(f"{{{slot[v]}}}" for v in dst.letters)
             if (runs, image) not in seen:
                 seen.add((runs, image))
-                growth = tuple(dst.letters.count(v) - src.letters.count(v) for v in variables)
-                rules.append(_Rule(index, forward, runs, image, variables, growth))
+                rules.append(_Rule(index, forward, runs, image, variables))
     return tuple(rules)
 
 
 class _Entry(NamedTuple):
-    """A memo entry: a word's successor codes no longer than cap, each with
-    its link, in shortlex order, and whether the word has a longer successor.
-    An entry without overflow holds every successor and serves any cap."""
+    """A memo entry: a word's successor codes, each with its link, in
+    shortlex order.  cap is None when they are all there, and an entry
+    serves every cap; otherwise the word has a successor longer than cap,
+    and only those no longer than cap are held."""
 
     successors: tuple[tuple[str, tuple], ...]
     cap: int | None
-    overflow: bool
 
 
 def _step(alphabet: tuple[Variable, ...], source: str, link: tuple) -> RewriteStep:
@@ -464,8 +438,8 @@ class Rewriter:
     and memoises nothing.  The memo maps a word code to an _Entry: its
     successor codes within the length cap it was built under, in shortlex
     order, each with a link (prefix end, suffix start, rule, images) from
-    which the RewriteStep is built on demand, and a flag saying whether a
-    longer successor was left out.
+    which the RewriteStep is built on demand, and that cap if a longer
+    successor was left out, else None.
     """
 
     def __init__(self, sigma: Presentation):
@@ -513,7 +487,7 @@ class Rewriter:
         expanded again, which counts as a miss."""
         self._calls += 1
         entry = self._memo.get(s)
-        if entry is None or entry.overflow and (cap is None or cap > entry.cap):
+        if entry is None or entry.cap is not None and (cap is None or cap > entry.cap):
             self._misses += 1
             if entry is not None:
                 _release(self, s)
@@ -525,48 +499,35 @@ class Rewriter:
     def _expand(self, s: str, cap: int | None) -> _Entry:
         # The first step found for a successor is kept: identities in order,
         # forward before backward, prefixes by length, bindings depth-first.
-        # A successor longer than cap is left out and noted in overflow.  A
-        # rule with no shrinking slot does not build one: its images stop
-        # lengthening at the budget, and a cut is confirmed by matching again
-        # without it.  Any other rule measures each new successor it builds,
-        # which costs less than summing a match's growth first.
-        n = len(s)
+        # A successor longer than cap is built, then left out: measuring it
+        # costs less than summing a match's growth first.
         limit = math.inf if cap is None else cap
-        budget = limit - n
         found: dict[str, tuple] = {}
         overflow = False
         for rule in self._rules:
-            runs, slots, image, growth = rule.src, len(rule.variables), rule.image.format, rule.growth
-            budgeted = cap is not None and min(growth, default=0) >= 0
-            for i in range(n + 1):
-                if budgeted:
-                    matches, cut = _matches(runs, slots, s, i, growth, budget)
-                    if cut and not overflow:
-                        rest = _matches(runs, slots, s, i)[0]
-                        overflow = any(len(image(*images)) - (end - i) > budget for end, images in rest)
-                else:
-                    matches, _ = _matches(runs, slots, s, i)
+            runs, slots, image = rule.src, len(rule.variables), rule.image.format
+            for i in range(len(s) + 1):
                 head = s[:i]
-                for end, images in matches:
+                for end, images in _matches(runs, slots, s, i):
                     q = head + image(*images) + s[end:]
-                    if q not in found:
-                        if len(q) > limit:
-                            overflow = True
-                            continue
+                    if len(q) > limit:
+                        overflow = True
+                    elif q not in found:
                         found[q] = (i, end, rule, images)
         order = list(found)
         _shortlex_sort(order)
-        return _Entry(tuple([(q, found[q]) for q in order]), cap, overflow)
+        return _Entry(tuple([(q, found[q]) for q in order]), cap if overflow else None)
 
 
 # The registry shares one Rewriter between equal presentations.  It holds at
 # most _MAX_REWRITERS of them, dropping the oldest first, and all their memos
 # together hold at most MAX_MEMO_ENTRIES entries, one per memoised word and
 # one per successor it holds.  An entry holds only the successors within the
-# cap it was built under, with an overflow flag for longer ones; an entry
-# without overflow serves every cap, and one re-expanded for a larger cap
-# replaces the old entry in the count.  When the budget is spent every memo
-# is emptied.  A rewriter that has left the registry memoises nothing.
+# cap it was built under, and keeps that cap when it left a longer one out;
+# an entry that left out nothing serves every cap, and one re-expanded for a
+# larger cap replaces the old entry in the count.  When the budget is spent
+# every memo is emptied.  A rewriter that has left the registry memoises
+# nothing.
 MAX_MEMO_ENTRIES = 1 << 20
 _MAX_REWRITERS = 256
 _REGISTRY: dict[Presentation, Rewriter] = {}
@@ -617,7 +578,7 @@ def match_pattern(pattern: Word, target: Word) -> set[Substitution]:
     alphabet, s = _encode(target)
     return {
         Substitution({v: _word(alphabet, image) for v, image in zip(variables, images)})
-        for end, images in _matches(runs, len(variables), s, 0)[0]
+        for end, images in _matches(runs, len(variables), s, 0)
         if end == len(s)
     }
 
@@ -685,11 +646,13 @@ def explore(
 
     Words are visited in shortlex order within each level, and the search
     stops early when stop_at is discovered.  Successors longer than the
-    length cap are never memoised or visited: the memo notes only that one
-    exists, which keeps the closure from counting as saturated.  An unset
-    length cap is default_bounds(sigma, start, stop_at)'s, and the
-    Exploration records the caps used.  Every exact operation of this module
-    wraps this search.
+    length cap are never visited.  A word expanded for this search keeps
+    only its successors within max(cap, len(start)), and its memo entry
+    notes that a longer one exists, which keeps the closure from counting
+    as saturated; an entry built earlier for a larger cap may hold longer
+    ones, and those are pruned by their length.  An unset length cap is
+    default_bounds(sigma, start, stop_at)'s, and the Exploration records the
+    caps used.  Every exact operation of this module wraps this search.
     """
     rewriter = Rewriter.of(sigma)
     bounds = bounds or SearchBounds()
@@ -704,8 +667,8 @@ def explore(
             target = stop_code
     max_length, max_states = bounds.max_word_length, bounds.max_states
     # Every visited word is at most limit long, so a successor longer than
-    # limit, which the memo does not build, is never a visited one: its
-    # existence (the entry's overflow) prunes exactly as its length would.
+    # limit, which the memo leaves out, is never a visited one: its existence
+    # (the entry's cap) prunes exactly as its length would.
     limit = max(max_length, len(origin))
     parents: dict[str, tuple[str, tuple] | None] = {origin: None}
     frontier = [origin]
@@ -714,8 +677,8 @@ def explore(
     while frontier and depth < bounds.max_depth:
         next_frontier: list[str] = []
         for p in frontier:
-            successors, _, overflow = rewriter._successors(p, limit)
-            if overflow:
+            successors, overflow_cap = rewriter._successors(p, limit)
+            if overflow_cap is not None:
                 pruned = True
             for q, link in successors:
                 if q in parents:  # p itself included
@@ -811,11 +774,13 @@ def class_closure_verify(candidate: set[Word] | frozenset[Word], w: Word, sigma:
         # An entry within a cap holds a shortlex prefix of the successors, and
         # those it leaves out are longer than every member: the first of them
         # is the witness only when every successor held is a member.
-        successors, _, overflow = rewriter._successors(s, longest)
+        successors, overflow_cap = rewriter._successors(s, longest)
         for q, _link in successors:
             if (alphabet, q) not in codes:
                 return NotClosed(member, _word(alphabet, q))
-        if overflow:
+        if overflow_cap is not None:
+            # This uncapped request replaces the capped entry (a miss), so later
+            # requests for s at any cap are served from the full list.
             q, _link = rewriter._successors(s).successors[len(successors)]
             return NotClosed(member, _word(alphabet, q))
     # The candidate is closed, so everything reachable from w is a member and

@@ -205,20 +205,25 @@ class TestSuccessorOracle:
             for _ in range(4):
                 _, s = rewriting._encode(Word(rng.choices(self.NAMES, k=rng.randint(0, 5))))
                 everything = rewriter._successors(s)
-                assert not everything.overflow
+                assert everything.cap is None
                 for cap in range(1, len(s) + 4):
                     limit = max(cap, len(s))
                     entry = rewriter._successors(s, limit)
                     # same codes in the same order, each with its uncapped link
                     within = [(q, link) for q, link in everything.successors if len(q) <= limit]
                     assert list(entry.successors) == within, (sigma, s, limit)
-                    assert entry.overflow == (len(within) < len(everything.successors)), (sigma, s, limit)
-                    overflowed += entry.overflow
+                    # a cap is kept exactly when a longer successor was left out
+                    overflow = len(within) < len(everything.successors)
+                    assert entry.cap == (limit if overflow else None), (sigma, s, limit)
+                    overflowed += overflow
         assert overflowed >= 100
         # a start word longer than the cap still expands within its own length
         power = explore(Presentation.of("x = x^2"), parse_word("x^5"), SearchBounds(3))
         assert power.words == {parse_word(w) for w in ("x", "x^2", "x^3", "x^5")}
         assert not power.saturated
+        # and its own length prunes nothing: xyx is alone in its class
+        alone = explore(Presentation.of("x^2 = x^3"), parse_word("xyx"), SearchBounds(2))
+        assert alone.words == {parse_word("xyx")} and alone.saturated
 
     def test_class_and_certificates_follow_word_key_order(self):
         a, b = Variable("x2"), Variable("x10")  # Word.key puts b first
