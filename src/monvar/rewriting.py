@@ -17,18 +17,23 @@ rejected with ContentUnbalancedError instead of being silently truncated.
 
 All searches go through one Rewriter per presentation, shared by equal
 presentations through a bounded registry.  It holds the compiled rules (both
-orientations, as variable-slot patterns), a memo of successor sets and the
-memo's counters.  A memo entry holds a word's successors within the length
-cap it was built under, and keeps that cap only when a longer successor
-was left out.  An entry that left out nothing is complete and serves every
-cap, and a request for a larger cap, or for no cap, expands the word again,
-which counts as a miss.  Internally a word is a str with one character per
-letter, coded in the name order of its content, so shortlex order is string
-order; Word stays the public type, and a RewriteStep is built only for a
-certificate or for one_step_successors.
+orientations), a memo of successor sets and the memo's counters.  Each rule
+runs as a kernel: Python source generated for the rule's shape (its variable
+slots and their runs) and compiled once, which matches by nested loops and
+measures every successor before building it.  A successor longer than the
+length cap is never built; it only marks the entry as capped.  A memo entry
+holds a word's successors within the length cap it was built under, and
+keeps that cap only when a longer successor exists.  An entry that left out
+nothing is complete and serves every cap, and a request for a larger cap,
+or for no cap, expands the word again, which counts as a miss.  Internally
+a word is a str with one character per letter, coded in the name order of
+its content, so shortlex order is string order; Word stays the public type,
+and a RewriteStep is built only for a certificate or for
+one_step_successors.
 
 Every exact operation wraps one search, explore: derive stops it at its
-target, enumerate_class reads its closure, and class_closure_verify (with
+target (and skips it for two words of different content, which no
+content-balanced rule connects), enumerate_class reads its closure, and class_closure_verify (with
 isoterm_exact on top) reads successor sets for closure and runs explore for
 connectivity.
 """
@@ -37,10 +42,12 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .words import (
@@ -315,71 +322,155 @@ def _pattern(letters: tuple[Variable, ...]) -> tuple[tuple, tuple[Variable, ...]
     marks the run where a variable first occurs, and `occurrences` counts all
     its letters in the pattern."""
     slots: dict[Variable, int] = {}
+    counts = Counter(letters)
     runs = []
     for letter, group in groupby(letters):
         first = letter not in slots
         if first:
             slots[letter] = len(slots)
-        runs.append((slots[letter], len(list(group)), first, letters.count(letter)))
+        runs.append((slots[letter], len(list(group)), first, counts[letter]))
     return tuple(runs), tuple(slots)
 
 
-def _matches(runs: tuple, slots: int, s: str, start: int) -> list[tuple[int, tuple[str, ...]]]:
-    """Every (end, images) with the pattern matching s[start:end] under the
-    binding slot j -> images[j], in depth-first order: each variable's first
-    run tries images of increasing length, and later runs must repeat the
-    chosen image.  The search keeps an explicit stack with one frame per
-    variable, so its depth does not grow with the pattern's length."""
-    n = len(s)
-    last = len(runs) - 1
-    images = [""] * slots
-    found = []
-    frames: list[tuple[int, int, int]] = []  # (run index, position, image length)
-    k, pos = 0, start
-    while True:
-        while k <= last:
-            slot, repeat, first, _ = runs[k]
-            if first and k == last:
-                # The final run holds the last slot's only occurrences: every
-                # image that fits ends a match, so they are listed without frames.
-                bound = tuple(images[:-1])
-                if repeat == 1:
-                    found += [(end, (*bound, s[pos:end])) for end in range(pos, n + 1)]
-                else:
-                    for length in range((n - pos) // repeat + 1):
-                        image = s[pos : pos + length]
-                        if s.startswith(image * repeat, pos):
-                            found.append((pos + repeat * length, (*bound, image)))
-                break
-            if first:
-                frames.append((k, pos, 0))
-                images[slot] = ""
-            else:
-                image = images[slot] * repeat
-                if not s.startswith(image, pos):
-                    break
-                pos += len(image)
-            k += 1
+# Rule kernels.  A rule's matcher is generated as Python source and compiled
+# once per shape: the runs of its rewritten side and the slot runs of its
+# replacing side, so rules that differ only in their variables' names share
+# one kernel.  The source is built from integers and fixed identifiers only;
+# no variable name or other user text ever enters it.  It holds one for loop
+# per variable, in order of first occurrence, trying images of increasing
+# length, and one startswith per later run of a bound variable, so matches
+# come in depth-first order.  CPython allows 20 statically nested blocks, so
+# the loops are cut into chained functions of _NEST variables each; and a
+# side is emitted by runs (v0 * 5001) in one flat join, never as a + chain,
+# whose compilation recurses once per term.
+_NEST = 18
+
+
+def _drop(runs, slot: int) -> list[tuple[int, int]]:
+    """The (slot, repeat) runs of a side with one slot's letters removed."""
+    kept = [(j, r) for j, r in runs if j != slot]
+    return [(j, sum(r for _, r in group)) for j, group in groupby(kept, key=itemgetter(0))]
+
+
+def _times(name: str, repeat: int) -> str:
+    return name if repeat == 1 else f"{name} * {repeat}"
+
+
+@lru_cache(maxsize=1024)
+def _kernel(runs: tuple, dst: tuple | None):
+    """The compiled kernel of a pattern given as runs by _pattern.
+
+    With dst, the (slot, repeat) runs of the replacing side, it is
+    kernel(s, limit, found, rule, over) -> over.  For every start i in
+    ascending order and every match of s[i:end] it first computes the
+    successor's length, n plus each slot's (dst count - src count) times its
+    image length.  A successor within limit is built and, if new to found,
+    recorded as found[q] = (i, end, rule, images); a longer one is never
+    built and only sets the returned flag.  A loop skips the empty image of a
+    variable whose other letters read alike on both sides, since every such
+    binding rewrites s to itself: the caller records s before any kernel
+    runs.  Without dst it is kernel(s) -> the images of every match of the
+    whole of s.
+    """
+    levels: list[tuple[int, list[tuple[int, int]]]] = []  # per slot: first repeat, later runs
+    occurrences: list[int] = []
+    for slot, repeat, first, count in runs:
+        if first:
+            levels.append((repeat, []))
+            occurrences.append(count)
         else:
-            found.append((pos, tuple(images)))
-        # Backtrack to the latest first run that can take a longer image; its
-        # image fits only if every occurrence of the variable still fits.
-        while frames:
-            k, pos, length = frames.pop()
-            slot, repeat, _, occurrences = runs[k]
-            for length in range(length + 1, (n - pos) // occurrences + 1):
-                image = s[pos : pos + length]
-                if repeat == 1 or s.startswith(image * (repeat - 1), pos + length):
-                    break
-            else:
-                continue
-            frames.append((k, pos, length))
-            images[slot] = image
-            pos += repeat * length
-            k += 1
-            break
+            levels[-1][1].append((slot, repeat))
+    m = len(levels)
+    # ahead[k][j]: letters of slot j in the runs from slot k's first run on
+    ahead = [[0] * m for _ in range(m + 1)]
+    for k in reversed(range(m)):
+        ahead[k][:] = ahead[k + 1]
+        repeat, later = levels[k]
+        ahead[k][k] += repeat
+        for j, r in later:
+            ahead[k][j] += r
+    expand = dst is not None
+    if expand:
+        growth = [-count for count in occurrences]
+        for j, r in dst:
+            growth[j] += r
+        src = [(slot, repeat) for slot, repeat, _, _ in runs]
+    images = ", ".join(f"v{j}" for j in range(m)) + ("," if m == 1 else "")
+    lines: list[str] = []
+
+    def emit(depth: int, text: str) -> None:
+        lines.append("    " * depth + text)
+
+    def carried(k: int) -> str:  # what a chained function takes of the bound slots
+        return "".join(f"v{j}, l{j}, " for j in range(k))
+
+    g = "n"
+    for c, low in enumerate(range(0, m, _NEST) if m else [0]):
+        high = min(low + _NEST, m)
+        if c == 0 and expand:
+            emit(0, "def k0(s, limit, found, rule, over):")
+            emit(1, "n = len(s)")
+            if not any(growth):  # every successor is n long
+                emit(1, "if n > limit:")
+                emit(2, "return True")
+            emit(1, "for i in range(n + 1):")
+            emit(2, "h = s[:i]")
+            emit(2, "a0 = i")
+            depth = 2
+        elif c == 0:
+            emit(0, "def k0(s):")
+            emit(1, "n = len(s)")
+            emit(1, "out = []")
+            emit(1, "a0 = 0")
+            depth = 1
         else:
-            return found
+            head = f"s, n, limit, found, rule, i, h, over, g{low}, " if expand else "s, n, out, "
+            emit(0, f"def k{c}({head}{carried(low)}a{low}):")
+            g, depth = f"g{low}", 1
+        for k in range(low, high):
+            repeat, later = levels[k]
+            room = f"n - a{k}" + "".join(f" - {_times(f'l{j}', ahead[k][j])}" for j in range(k) if ahead[k][j])
+            if occurrences[k] > 1:
+                room = f"({room}) // {occurrences[k]}"
+            skip = expand and _drop(src, k) == _drop(dst, k)
+            emit(depth, f"for l{k} in range({int(skip)}, {room} + 1):")
+            depth += 1
+            if expand and growth[k]:
+                emit(depth, f"g{k + 1} = {g} {'+' if growth[k] > 0 else '-'} {_times(f'l{k}', abs(growth[k]))}")
+                g = f"g{k + 1}"
+                if growth[k] > 0 and min(growth[k:]) >= 0:
+                    # every later match at this position is longer still
+                    emit(depth, f"if over and {g} > limit:")
+                    emit(depth + 1, "break")
+            emit(depth, f"a{k + 1} = a{k} + l{k}")
+            emit(depth, f"v{k} = s[a{k}:a{k + 1}]")
+            for j, r in ([(k, repeat - 1)] if repeat > 1 else []) + later:
+                emit(depth, f"if not s.startswith({_times(f'v{j}', r)}, a{k + 1}):")
+                emit(depth + 1, "continue")
+                emit(depth, f"a{k + 1} += {_times(f'l{j}', r)}")
+        if high < m:
+            call = f"over = k{c + 1}(s, n, limit, found, rule, i, h, over, {g}, " if expand else f"k{c + 1}(s, n, out, "
+            emit(depth, f"{call}{carried(high)}a{high})")
+        elif expand:
+            if any(growth):
+                emit(depth, f"if {g} > limit:")
+                emit(depth + 1, "over = True")
+                emit(depth, "else:")
+                depth += 1
+            parts = "".join(f"{_times(f'v{j}', r)}, " for j, r in dst)
+            emit(depth, f'q = "".join((h, {parts}s[a{m}:]))')
+            emit(depth, "if q not in found:")
+            emit(depth + 1, f"found[q] = (i, a{m}, rule, ({images}))")
+        else:
+            emit(depth, f"if a{m} == n:")
+            emit(depth + 1, f"out.append(({images}))")
+        if expand:
+            emit(1, "return over")
+        elif c == 0:
+            emit(1, "return out")
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", "<monvar kernel>", "exec"), namespace)
+    return namespace["k0"]
 
 
 class _Rule(NamedTuple):
@@ -387,16 +478,15 @@ class _Rule(NamedTuple):
 
     identity_index: int
     forward: bool
-    src: tuple  # runs of the rewritten side, as made by _pattern
-    image: str  # format template of the replacing side, fields by slot
     variables: tuple[Variable, ...]  # by slot
+    kernel: Callable  # _kernel(runs of the rewritten side, slot runs of the replacing side)
 
 
 def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
     """Both orientations of every identity, in the order successors are
-    searched.  Slots follow first occurrence, so (src, image) names a rule up
-    to renaming its variables; a rule equal to an earlier one in that sense
-    (xy = yx read backward, say) rewrites nothing new and is dropped."""
+    searched.  Slots follow first occurrence, so the kernel's shape names a
+    rule up to renaming its variables; a rule equal to an earlier one in that
+    sense (xy = yx read backward, say) rewrites nothing new and is dropped."""
     rules = []
     seen = set()
     for index, ident in enumerate(sigma.identities):
@@ -404,10 +494,10 @@ def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
             src, dst = (ident.lhs, ident.rhs) if forward else (ident.rhs, ident.lhs)
             runs, variables = _pattern(src.letters)
             slot = {v: j for j, v in enumerate(variables)}
-            image = "".join(f"{{{slot[v]}}}" for v in dst.letters)
-            if (runs, image) not in seen:
-                seen.add((runs, image))
-                rules.append(_Rule(index, forward, runs, image, variables))
+            shape = (runs, tuple((slot[v], len(list(group))) for v, group in groupby(dst.letters)))
+            if shape not in seen:
+                seen.add(shape)
+                rules.append(_Rule(index, forward, variables, _kernel(*shape)))
     return tuple(rules)
 
 
@@ -435,11 +525,14 @@ class Rewriter:
 
     Get it with Rewriter.of(sigma), which returns one shared instance for
     all equal presentations; a Rewriter(sigma) built directly is not shared
-    and memoises nothing.  The memo maps a word code to an _Entry: its
+    and memoises nothing.  Each rule carries the kernel compiled for its
+    shape, shared by every rule of that shape in any presentation; a kernel
+    computes each match's successor length first and builds only the
+    successors within the cap.  The memo maps a word code to an _Entry: its
     successor codes within the length cap it was built under, in shortlex
     order, each with a link (prefix end, suffix start, rule, images) from
     which the RewriteStep is built on demand, and that cap if a longer
-    successor was left out, else None.
+    successor exists (measured, never built), else None.
     """
 
     def __init__(self, sigma: Presentation):
@@ -499,21 +592,21 @@ class Rewriter:
     def _expand(self, s: str, cap: int | None) -> _Entry:
         # The first step found for a successor is kept: identities in order,
         # forward before backward, prefixes by length, bindings depth-first.
-        # A successor longer than cap is built, then left out: measuring it
-        # costs less than summing a match's growth first.
+        # The very first is the first rule's at prefix 0 with every image
+        # empty, which rewrites s to itself; it is recorded here, so kernels
+        # may skip bindings that only give s again.  A kernel measures each
+        # successor before building it and never builds one longer than cap.
         limit = math.inf if cap is None else cap
         found: dict[str, tuple] = {}
         overflow = False
+        if self._rules:
+            first = self._rules[0]
+            if len(s) > limit:
+                overflow = True
+            else:
+                found[s] = (0, 0, first, ("",) * len(first.variables))
         for rule in self._rules:
-            runs, slots, image = rule.src, len(rule.variables), rule.image.format
-            for i in range(len(s) + 1):
-                head = s[:i]
-                for end, images in _matches(runs, slots, s, i):
-                    q = head + image(*images) + s[end:]
-                    if len(q) > limit:
-                        overflow = True
-                    elif q not in found:
-                        found[q] = (i, end, rule, images)
+            overflow = rule.kernel(s, limit, found, rule, overflow)
         order = list(found)
         _shortlex_sort(order)
         return _Entry(tuple([(q, found[q]) for q in order]), cap if overflow else None)
@@ -578,8 +671,7 @@ def match_pattern(pattern: Word, target: Word) -> set[Substitution]:
     alphabet, s = _encode(target)
     return {
         Substitution({v: _word(alphabet, image) for v, image in zip(variables, images)})
-        for end, images in _matches(runs, len(variables), s, 0)
-        if end == len(s)
+        for images in _kernel(runs, None)(s)
     }
 
 
@@ -712,10 +804,14 @@ def derive(
     Returns a certificate whose replay starts at u and ends at v, or None
     when the bounded search exhausts.  None is never a refutation; exact
     non-derivability only ever comes from a saturated class enumeration.
+    When u and v differ in content the answer is None at once, with no
+    search: content-balanced rules keep content, so v is never reached.
     """
+    Rewriter.of(sigma)  # rejects a system that is not content-balanced
     if u == v:
-        Rewriter.of(sigma)  # rejects a system that is not content-balanced
         return DerivationCertificate(u)
+    if content(u) != content(v):
+        return None
     result = explore(sigma, u, bounds, stop_at=v)
     return result.certificate_to(v)
 

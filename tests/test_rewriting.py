@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -99,6 +100,14 @@ class TestMatchPattern:
         assert match_pattern(parse_word("1"), parse_word("1")) == {Substitution()}
         assert match_pattern(parse_word("1"), parse_word("x")) == set()
 
+    def test_more_variables_than_one_loop_nest_holds(self):
+        pattern = Word([Variable(f"x{i}") for i in range(25)])
+        target = parse_word("xy")
+        matches = match_pattern(pattern, target)
+        # xy goes to one variable, or x and y to two in order: 25 + 300 ways
+        assert len(matches) == 325
+        assert all(subst.apply(pattern) == target for subst in matches)
+
     def test_against_brute_force(self):
         rng = random.Random(2024)
         for _ in range(150):
@@ -152,6 +161,85 @@ def reference_successors(p, sigma):
     return found
 
 
+def reference_matches(runs, slots, s, start):
+    """Every (end, images) with the pattern runs (as made by _pattern)
+    matching s[start:end] under slot j -> images[j], in depth-first order:
+    each variable's first run tries images of increasing length, and later
+    runs must repeat the chosen image.  This is the generic matcher the
+    compiled kernels replace, kept as their reference."""
+    n = len(s)
+    last = len(runs) - 1
+    images = [""] * slots
+    found = []
+    frames = []  # (run index, position, image length)
+    k, pos = 0, start
+    while True:
+        while k <= last:
+            slot, repeat, first, _ = runs[k]
+            if first and k == last:
+                # the final run holds the last slot's only occurrences: every
+                # image that fits ends a match, so they are listed without frames
+                bound = tuple(images[:-1])
+                if repeat == 1:
+                    found += [(end, (*bound, s[pos:end])) for end in range(pos, n + 1)]
+                else:
+                    for length in range((n - pos) // repeat + 1):
+                        image = s[pos : pos + length]
+                        if s.startswith(image * repeat, pos):
+                            found.append((pos + repeat * length, (*bound, image)))
+                break
+            if first:
+                frames.append((k, pos, 0))
+                images[slot] = ""
+            else:
+                image = images[slot] * repeat
+                if not s.startswith(image, pos):
+                    break
+                pos += len(image)
+            k += 1
+        else:
+            found.append((pos, tuple(images)))
+        # backtrack to the latest first run that can take a longer image
+        while frames:
+            k, pos, length = frames.pop()
+            slot, repeat, _, occurrences = runs[k]
+            for length in range(length + 1, (n - pos) // occurrences + 1):
+                image = s[pos : pos + length]
+                if repeat == 1 or s.startswith(image * (repeat - 1), pos + length):
+                    break
+            else:
+                continue
+            frames.append((k, pos, length))
+            images[slot] = image
+            pos += repeat * length
+            k += 1
+            break
+        else:
+            return found
+
+
+def reference_expand(rewriter, s, cap):
+    """The memo entry Rewriter._expand(s, cap) must give, by building every
+    successor of every match and dropping those longer than cap."""
+    limit = math.inf if cap is None else cap
+    found = {}
+    overflow = False
+    for rule in rewriter._rules:
+        ident = rewriter.presentation.identities[rule.identity_index]
+        src, dst = (ident.lhs, ident.rhs) if rule.forward else (ident.rhs, ident.lhs)
+        runs, variables = rewriting._pattern(src.letters)
+        slot = {v: j for j, v in enumerate(variables)}
+        for i in range(len(s) + 1):
+            for end, images in reference_matches(runs, len(variables), s, i):
+                q = s[:i] + "".join(images[slot[v]] for v in dst.letters) + s[end:]
+                if len(q) > limit:
+                    overflow = True
+                elif q not in found:
+                    found[q] = (i, end, rule, images)
+    order = sorted(found, key=lambda q: (len(q), q))
+    return [(q, found[q]) for q in order], cap if overflow else None
+
+
 class TestSuccessorOracle:
     # x2 and x10 sort as "x10" < "x2", unlike their indices
     NAMES = (Variable("x2"), Variable("x10"), Variable("y"))
@@ -194,11 +282,14 @@ class TestSuccessorOracle:
                 count += len(cert)
         assert count >= 40
 
-    def test_capped_successors_are_the_uncapped_ones_within_the_cap(self):
+    def fixed_and_seeded_systems(self, rng):
         # growing, shrinking and mixed-sign (x^2y = xy^2) orientations
-        rng = random.Random(6113)
         systems = [Presentation.of("x^2y = xy^2"), POWER, Presentation.of("xyx = xy"), SIGMA_E]
-        systems += [self.random_system(rng) for _ in range(40)]
+        return systems + [self.random_system(rng) for _ in range(40)]
+
+    def test_capped_successors_are_the_uncapped_ones_within_the_cap(self):
+        rng = random.Random(6113)
+        systems = self.fixed_and_seeded_systems(rng)
         overflowed = 0
         for sigma in systems:
             rewriter = Rewriter(sigma)  # not shared, so every call expands afresh
@@ -224,6 +315,29 @@ class TestSuccessorOracle:
         # and its own length prunes nothing: xyx is alone in its class
         alone = explore(Presentation.of("x^2 = x^3"), parse_word("xyx"), SearchBounds(2))
         assert alone.words == {parse_word("xyx")} and alone.saturated
+
+    def test_kernels_expand_as_the_generic_matcher(self):
+        # the fixed and seeded systems of the capped-successor test, then a
+        # repeated first run, the empty identity, 25 nested variables and
+        # sides too long to compile as one nest or one + chain
+        rng = random.Random(6113)
+        systems = self.fixed_and_seeded_systems(rng)
+        cases = [(sigma, Word(rng.choices(self.NAMES, k=rng.randint(0, 5)))) for sigma in systems for _ in range(4)]
+        reversal = [Variable(f"x{i}") for i in range(25)]
+        cases += [
+            (Presentation.of("x^2y = yx^2"), parse_word("x^2yx^2y")),
+            (Presentation.of("1 = 1"), parse_word("xyx")),
+            (Presentation((Identity(Word(reversal), Word(reversal[::-1])),)), parse_word("xy")),
+            (Presentation.of("x^3000 = x^3001"), parse_word("x^5")),
+            (Presentation.of(f"{'xy' * 1500} = {'yx' * 1500}"), parse_word("xy")),
+        ]
+        for sigma, word in cases:
+            rewriter = Rewriter(sigma)
+            _, s = rewriting._encode(word)
+            for cap in [*range(1, len(s) + 4), None]:
+                entry = rewriter._expand(s, cap)
+                # codes, order and links (rule and images included) and the kept cap
+                assert (list(entry.successors), entry.cap) == reference_expand(rewriter, s, cap), (sigma, word, cap)
 
     def test_class_and_certificates_follow_word_key_order(self):
         a, b = Variable("x2"), Variable("x10")  # Word.key puts b first
@@ -318,6 +432,18 @@ class TestRewriter:
         assert (evicted.misses, evicted.memoised, rewriting._memo_entries) == (misses + 1, 0, 0)
         clear_successor_cache()
 
+    def test_rules_of_one_shape_share_a_kernel(self):
+        sl, c = Rewriter.of(reference_presentation(BuiltinKind.SL)), Rewriter.of(reference_presentation(BuiltinKind.C))
+
+        def commuting(rewriter):
+            (rule,) = [r for r in rewriter._rules if r.variables == (X, Y)]
+            return rule.kernel
+
+        assert commuting(sl) is commuting(c)
+        # xy = yx and zx = xz differ only in their variables' names
+        assert Rewriter(Presentation.of("zx = xz"))._rules[0].kernel is commuting(sl)
+        assert rewriting._kernel.cache_info().maxsize is not None
+
     def test_caps_interplay_as_with_a_fresh_registry(self):
         # a memo warmed at one cap answers smaller, larger and uncapped
         # requests exactly as a fresh registry does
@@ -381,6 +507,15 @@ class TestDerive:
         assert there is not None and back is not None
         rev = there.reversed(SIGMA_E)
         assert verify_certificate(SIGMA_E, rev, parse_word("y^2x^2"), parse_word("xyxy")).ok
+
+    def test_content_mismatch_is_none_without_a_search(self):
+        clear_successor_cache()
+        rewriter = Rewriter.of(SIGMA_E)
+        assert derive(SIGMA_E, parse_word("x"), parse_word("xy")) is None
+        assert derive(SIGMA_E, parse_word("xy^2"), parse_word("x^2"), SearchBounds(8, 8)) is None
+        assert rewriter.calls == 0
+        with pytest.raises(ContentUnbalancedError):
+            derive(Presentation.of("xy = x"), parse_word("x"), parse_word("xy"))
 
     def test_derive_matches_exploration(self):
         b = SearchBounds(8, 8)
