@@ -318,16 +318,23 @@ class TestSuccessorOracle:
 
     def test_kernels_expand_as_the_generic_matcher(self):
         # the fixed and seeded systems of the capped-successor test, then a
-        # repeated first run, the empty identity, 25 nested variables and
-        # sides too long to compile as one nest or one + chain
+        # repeated first run, the empty identity, 25 nested variables, 21
+        # with a growing and a shrinking slot on each side of the cut between
+        # chained functions, and sides too long to compile as one nest or one
+        # + chain
         rng = random.Random(6113)
         systems = self.fixed_and_seeded_systems(rng)
         cases = [(sigma, Word(rng.choices(self.NAMES, k=rng.randint(0, 5)))) for sigma in systems for _ in range(4)]
         reversal = [Variable(f"x{i}") for i in range(25)]
+        x0, x3 = reversal[0], reversal[3]
         cases += [
             (Presentation.of("x^2y = yx^2"), parse_word("x^2yx^2y")),
             (Presentation.of("1 = 1"), parse_word("xyx")),
             (Presentation((Identity(Word(reversal), Word(reversal[::-1])),)), parse_word("xy")),
+            (
+                Presentation((Identity(Word([*reversal[:20], x0, reversal[20], x3]), Word([*reversal[:21], x3, x3])),)),
+                parse_word("xyx"),
+            ),
             (Presentation.of("x^3000 = x^3001"), parse_word("x^5")),
             (Presentation.of(f"{'xy' * 1500} = {'yx' * 1500}"), parse_word("xy")),
         ]
