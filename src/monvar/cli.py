@@ -113,7 +113,7 @@ def _cmd_lattice(args) -> int:
             for p in props:
                 print(f"{label},{p.value},{str(label in truth[p]).lower()}")
         return 0
-    width = max(len(label) for label in lattice.labels) + 2
+    width = max(len("element"), *(len(label) for label in lattice.labels)) + 2
     header = "element".ljust(width) + " ".join(p.value for p in props)
     print(header)
     for label in lattice.labels:

@@ -16,26 +16,27 @@ images, which makes the successor set of a word infinite; such systems are
 rejected with ContentUnbalancedError instead of being silently truncated.
 
 All searches go through one Rewriter per presentation, shared by equal
-presentations through a bounded registry.  It holds the compiled rules (both
-orientations), a memo of successor sets and the memo's counters.  Each rule
-runs as a kernel: Python source generated for the rule's shape (its variable
-slots and their runs) and compiled once, which matches by nested loops and
-measures every successor before building it.  A successor longer than the
-length cap is never built; it only marks the entry as capped.  A memo entry
-holds a word's successors within the length cap it was built under, and
-keeps that cap only when a longer successor exists.  An entry that left out
-nothing is complete and serves every cap, and a request for a larger cap,
-or for no cap, expands the word again, which counts as a miss.  Internally
-a word is a str with one character per letter, coded in the name order of
-its content, so shortlex order is string order; Word stays the public type,
-and a RewriteStep is built only for a certificate or for
-one_step_successors.
+presentations through a registry that, past its limit on rewriters or on memo
+entries, evicts the least recently used rewriter first, memo and all.  A
+Rewriter holds the compiled rules (both orientations), a memo of successor
+sets and the memo's counters.  Each rule runs as a kernel: Python source
+generated for the rule's shape (its variable slots and their runs) and
+compiled once, which matches by nested loops and measures every successor
+before building it.  A successor longer than the length cap is never built; it
+only marks the entry as capped.  A memo entry holds a word's successors within
+the length cap it was built under, and keeps that cap only when a longer
+successor exists.  An entry that left out nothing is complete and serves every
+cap, and a request for a larger cap, or for no cap, expands the word again,
+which counts as a miss.  Internally a word is a str with one character per
+letter, coded in the name order of its content, so shortlex order is string
+order; Word stays the public type, and a RewriteStep is built only for a
+certificate or for one_step_successors.
 
-Every exact operation wraps one search, explore: derive stops it at its
-target (and skips it for two words of different content, which no
-content-balanced rule connects), enumerate_class reads its closure, and class_closure_verify (with
-isoterm_exact on top) reads successor sets for closure and runs explore for
-connectivity.
+Every exact operation wraps one search, explore: derive stops it at its target
+(and skips it for two words of different content, which no content-balanced
+rule connects), enumerate_class reads its closure, and class_closure_verify
+(with isoterm_exact on top) reads successor sets for closure and runs explore
+for connectivity.
 """
 
 from __future__ import annotations
@@ -523,16 +524,18 @@ class Rewriter:
     """The rewriting engine of one presentation: its compiled rules, its
     successor memo and the memo's counters.
 
-    Get it with Rewriter.of(sigma), which returns one shared instance for
-    all equal presentations; a Rewriter(sigma) built directly is not shared
-    and memoises nothing.  Each rule carries the kernel compiled for its
-    shape, shared by every rule of that shape in any presentation; a kernel
-    computes each match's successor length first and builds only the
-    successors within the cap.  The memo maps a word code to an _Entry: its
-    successor codes within the length cap it was built under, in shortlex
-    order, each with a link (prefix end, suffix start, rule, images) from
-    which the RewriteStep is built on demand, and that cap if a longer
-    successor exists (measured, never built), else None.
+    Get it with Rewriter.of(sigma), which returns one shared instance for all
+    equal presentations and marks it as the most recently used.  Past either
+    registry limit the least recently used rewriter is evicted and its memo
+    emptied; neither an evicted rewriter nor a Rewriter(sigma) built directly
+    memoises anything.  Each rule carries the kernel compiled for its shape,
+    shared by every rule of that shape in any presentation; a kernel computes
+    each match's successor length first and builds only the successors within
+    the cap.  The memo maps a word code to an _Entry: its successor codes
+    within the length cap it was built under, in shortlex order, each with a
+    link (prefix end, suffix start, rule, images) from which the RewriteStep
+    is built on demand, and that cap if a longer successor exists (measured,
+    never built), else None.
     """
 
     def __init__(self, sigma: Presentation):
@@ -547,10 +550,10 @@ class Rewriter:
     def of(cls, sigma: Presentation) -> "Rewriter":
         """The shared rewriter of sigma; raises ContentUnbalancedError for a
         system that is not content-balanced."""
-        rewriter = _REGISTRY.get(sigma)
-        if rewriter is None:
-            rewriter = cls(sigma)
-            _register(rewriter)
+        rewriter = _REGISTRY.pop(sigma, None) or cls(sigma)
+        _REGISTRY[sigma] = rewriter  # now the most recently used
+        if len(_REGISTRY) > _MAX_REWRITERS:
+            _evict(next(iter(_REGISTRY)))
         return rewriter
 
     @property
@@ -613,39 +616,40 @@ class Rewriter:
 
 
 # The registry shares one Rewriter between equal presentations.  It holds at
-# most _MAX_REWRITERS of them, dropping the oldest first, and all their memos
-# together hold at most MAX_MEMO_ENTRIES entries, one per memoised word and
-# one per successor it holds.  An entry holds only the successors within the
-# cap it was built under, and keeps that cap when it left a longer one out;
-# an entry that left out nothing serves every cap, and one re-expanded for a
-# larger cap replaces the old entry in the count.  When the budget is spent
-# every memo is emptied.  A rewriter that has left the registry memoises
-# nothing.
+# most _MAX_REWRITERS of them, and all their memos together hold at most
+# MAX_MEMO_ENTRIES entries, one per memoised word and one per successor it
+# holds.  An entry holds only the successors within the cap it was built
+# under, and keeps that cap when it left a longer one out; an entry that left
+# out nothing serves every cap, and one re-expanded for a larger cap replaces
+# the old entry in the count.  Both limits keep one rule: _evict takes out the
+# least recently used rewriter (the dict's first) and empties its memo, and a
+# rewriter that has left the registry memoises nothing.
 MAX_MEMO_ENTRIES = 1 << 20
 _MAX_REWRITERS = 256
 _REGISTRY: dict[Presentation, Rewriter] = {}
 _memo_entries = 0
 
 
-def _register(rewriter: Rewriter) -> None:
+def _evict(sigma: Presentation) -> Rewriter:
+    """Take sigma's rewriter out of the registry, empty its memo, take its
+    entries off the count and return it."""
     global _memo_entries
-    if len(_REGISTRY) >= _MAX_REWRITERS:
-        oldest = _REGISTRY.pop(next(iter(_REGISTRY)))
-        _memo_entries -= sum(1 + len(entry.successors) for entry in oldest._memo.values())
-        oldest._memo.clear()
-    _REGISTRY[rewriter.presentation] = rewriter
+    rewriter = _REGISTRY.pop(sigma)
+    _memo_entries -= sum(1 + len(entry.successors) for entry in rewriter._memo.values())
+    rewriter._memo.clear()
+    return rewriter
 
 
 def _admit(rewriter: Rewriter, entries: int) -> bool:
     """Whether rewriter may memoise a word holding entries - 1 successors,
-    whose entries are then counted."""
+    whose entries are then counted.  Least recently used rewriters are
+    evicted until the entries fit, and rewriter itself may be one of them."""
     global _memo_entries
     if _REGISTRY.get(rewriter.presentation) is not rewriter or entries > MAX_MEMO_ENTRIES:
         return False
-    if _memo_entries + entries > MAX_MEMO_ENTRIES:
-        for registered in _REGISTRY.values():
-            registered._memo.clear()
-        _memo_entries = 0
+    while _memo_entries + entries > MAX_MEMO_ENTRIES:
+        if _evict(next(iter(_REGISTRY))) is rewriter:
+            return False
     _memo_entries += entries
     return True
 
@@ -657,12 +661,9 @@ def _release(rewriter: Rewriter, s: str) -> None:
 
 
 def clear_successor_cache() -> None:
-    """Empty the registry, and with it every successor memo."""
-    global _memo_entries
-    for rewriter in _REGISTRY.values():
-        rewriter._memo.clear()
-    _REGISTRY.clear()
-    _memo_entries = 0
+    """Evict every rewriter, which empties the registry and every memo."""
+    for sigma in list(_REGISTRY):
+        _evict(sigma)
 
 
 def match_pattern(pattern: Word, target: Word) -> set[Substitution]:
@@ -816,7 +817,6 @@ def derive(
     return result.certificate_to(v)
 
 
-
 def verify_certificate(
     sigma: Presentation,
     cert: DerivationCertificate,
@@ -845,8 +845,6 @@ def verify_certificate(
     if expect_end is not None and current != expect_end:
         return CertificateCheck(False, None, f"certificate ends at {current}, expected {expect_end}")
     return CertificateCheck(True)
-
-
 
 
 def class_closure_verify(candidate: set[Word] | frozenset[Word], w: Word, sigma: Presentation):

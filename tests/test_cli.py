@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from monvar import ElementProperty
 from monvar.cli import main
 
 
@@ -160,6 +162,15 @@ class TestLatticeCommand:
         assert code == 0
         assert out.splitlines()[0].startswith("element")
         assert len(out.splitlines()) == 6
+        header, *rows = out.splitlines()
+        tokens = [(m.start(), m.group()) for m in re.finditer(r"\S+", header)]
+        assert tokens[0] == (0, "element")
+        assert [name for _, name in tokens[1:]] == [p.value for p in ElementProperty]
+        for row in rows:
+            # each mark starts at its property's header column
+            cells = [(m.start(), m.group()) for m in re.finditer(r"\S+", row)][1:]
+            assert [start for start, _ in cells] == [start for start, _ in tokens[1:]]
+            assert {mark for _, mark in cells} <= {"yes", "no"}
 
     def test_csv_rows(self, pentagon_file, capsys):
         code = main(["lattice", "--file", pentagon_file, "--csv"])

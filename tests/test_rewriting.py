@@ -378,6 +378,11 @@ class TestSuccessorOracle:
         assert chain == [start, Word((b, b, a, a)), Word((b, a, b, a))]
 
 
+def memo_entries(rewriter):
+    """The entries a rewriter's memo counts: one per word, one per successor."""
+    return sum(1 + len(entry.successors) for entry in rewriter._memo.values())
+
+
 class TestRewriter:
     def test_equal_presentations_share_one_rewriter(self):
         shared = Rewriter.of(Presentation.of("xy = yx", "x^2 = x"))
@@ -406,8 +411,12 @@ class TestRewriter:
         clear_successor_cache()
         monkeypatch.setattr(rewriting, "MAX_MEMO_ENTRIES", 5)
         bounds = SearchBounds(8, 8)
-        power, commuting = Rewriter.of(POWER), Rewriter.of(SIGMA_E)
-        capped = [explore(POWER, parse_word("x"), bounds), explore(SIGMA_E, parse_word("xyxy"), bounds)]
+        power = Rewriter.of(POWER)
+        capped = [explore(POWER, parse_word("x"), bounds)]
+        # the POWER search evicts every rewriter to fit its entries, so this
+        # builds the rewriter the SIGMA_E search uses
+        commuting = Rewriter.of(SIGMA_E)
+        capped.append(explore(SIGMA_E, parse_word("xyxy"), bounds))
         # one entry per memoised word and one per successor it holds
         entries = sum(1 + len(entry.successors) for rewriter in (power, commuting) for entry in rewriter._memo.values())
         assert entries == rewriting._memo_entries <= 5
@@ -422,6 +431,36 @@ class TestRewriter:
         for k in range(3, 3 + rewriting._MAX_REWRITERS):
             Rewriter.of(Presentation.of(f"x = x^{k}"))
         assert Rewriter.of(Presentation.of("x = x^2")) is not first
+        clear_successor_cache()
+        # touching a rewriter makes it the most recently used
+        first = Rewriter.of(Presentation.of("x = x^2"))
+        second = Rewriter.of(Presentation.of("x = x^3"))
+        for k in range(4, 2 + rewriting._MAX_REWRITERS):
+            Rewriter.of(Presentation.of(f"x = x^{k}"))
+        assert Rewriter.of(Presentation.of("x = x^2")) is first
+        Rewriter.of(Presentation.of(f"x = x^{2 + rewriting._MAX_REWRITERS}"))
+        assert Rewriter.of(Presentation.of("x = x^2")) is first
+        assert Rewriter.of(Presentation.of("x = x^3")) is not second
+        clear_successor_cache()
+
+    def test_memo_budget_evicts_the_least_recently_used_rewriter(self, monkeypatch):
+        bounds = SearchBounds(8, 8)
+        clear_successor_cache()
+        explore(SIGMA_E, parse_word("xyxy"), bounds)
+        third = rewriting._memo_entries  # what the third search memoises alone
+        clear_successor_cache()
+        old, recent = Rewriter.of(POWER), Rewriter.of(SIGMA_Y1)
+        explore(POWER, parse_word("x"), bounds)
+        explore(SIGMA_Y1, parse_word("xyxyx"), bounds)
+        kept = dict(old._memo)
+        assert kept and recent.memoised > 0
+        assert Rewriter.of(POWER) is old  # now the most recently used
+        # room for old's entries and the third search's, but not recent's too
+        monkeypatch.setattr(rewriting, "MAX_MEMO_ENTRIES", memo_entries(old) + third)
+        explore(SIGMA_E, parse_word("xyxy"), bounds)
+        assert old._memo == kept and rewriting._REGISTRY.get(POWER) is old
+        assert recent.memoised == 0 and SIGMA_Y1 not in rewriting._REGISTRY
+        assert rewriting._memo_entries == sum(map(memo_entries, rewriting._REGISTRY.values()))
         clear_successor_cache()
 
     def test_evicted_rewriter_memoises_nothing(self):
