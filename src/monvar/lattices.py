@@ -1,11 +1,11 @@
 """Finite lattices from Hasse data, with brute-force special-element predicates.
 
 Nine element properties are checked by evaluating their defining
-universally-quantified formulas over all pairs; the dual properties
+universally-quantified formulas at every (x, y, z); the dual properties
 (costandard, codistributive, upper-modular) reuse the primal code on the
-order dual, so each formula is transcribed exactly once.  Bounds use the
-same duality: one routine builds the greatest-lower-bound table of an
-order, and the join table is that routine run on the transposed order.
+order dual, so each formula is transcribed exactly once, and the join table
+is the meet-table routine run on the transposed order.  Both kernels run in
+blocks of (x, y) pairs holding at most _BLOCK entries; n <= 64 is one block.
 """
 
 from __future__ import annotations
@@ -42,6 +42,12 @@ __all__ = [
 
 class LatticeError(ValueError):
     pass
+
+
+# build_lattice and product refuse larger lattices before any n x n allocation.
+MAX_ELEMENTS = 1024
+# Most entries held by any temporary array of the bound and property kernels.
+_BLOCK = 1 << 18
 
 
 class ElementProperty(Enum):
@@ -87,6 +93,9 @@ class FiniteLattice:
             raise LatticeError("duplicate element labels")
         if not self.labels:
             raise LatticeError("a lattice needs at least one element")
+        order = np.asarray(order, dtype=bool)  # ~ of a 0/1 integer order is never 0
+        if order.shape != (len(self), len(self)):
+            raise LatticeError(f"order of shape {order.shape} for {len(self)} labels")
         self.order = order
         # joins first: where an order lacks both bounds of a pair, the error names the join
         self.join_table = _glb_table(order.T, self.labels, "least upper")
@@ -143,58 +152,65 @@ class FiniteLattice:
         M, J, leq, primal = self.meet_table, self.join_table, self.order, prop
         if prop in _DUAL_OF:  # read the order dual off this lattice's own tables
             M, J, leq, primal = J, M, leq.T, _DUAL_OF[prop]
-        vector = np.array([_primal_check(M, J, leq, x, primal) for x in range(len(self))], dtype=bool)
+        vector = _primal_vector(M, J, leq, primal)
         self._props[prop] = vector
         return vector
 
 
+def _blocks(n: int):
+    """Slices (xs, ys) tiling range(n)^2 in row-major order, each so that an
+    (xs, ys, n) array holds at most _BLOCK entries (whole rows while n <= 512)."""
+    y_step = min(n, max(1, _BLOCK // n))
+    x_step = max(1, _BLOCK // (n * y_step))
+    for x0 in range(0, n, x_step):
+        for y0 in range(0, n, y_step):
+            yield slice(x0, x0 + x_step), slice(y0, y0 + y_step)
+
+
 def _glb_table(order: np.ndarray, labels: tuple[str, ...], kind: str) -> np.ndarray:
-    """Greatest lower bound of every pair under order[i, j] = (i <= j), one row
-    at a time so that no step allocates more than an n x n array.  A pair's
-    candidate is its common lower bound with the largest down-set; it is
-    accepted if every common lower bound lies below it and no other above."""
-    n = len(labels)
-    down_size = order.sum(axis=0)
-    table = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        common = order[:, a, None] & order
-        best = np.where(common, down_size[:, None], -1).argmax(axis=0)
-        bad = (common & ~order[:, best]).any(axis=0) | ((common & order[best].T).sum(axis=0) != 1)
+    """Greatest lower bound of every pair (a, c) under order[i, j] = (i <= j),
+    over candidates b, a block of pairs at a time.  A pair's candidate is its
+    common lower bound with the largest down-set; it is accepted if every common
+    lower bound lies below it and no other above.  Errors name the first bad pair."""
+    below = np.ascontiguousarray(order.T)  # below[a, b] = (b <= a)
+    down_size = below.sum(axis=1)
+    table = np.empty(below.shape, dtype=np.int64)
+    for a, c in _blocks(len(labels)):
+        common = below[a, None, :] & below[None, c, :]
+        best = np.where(common, down_size, -1).argmax(axis=2)
+        bad = (common & ~below[best]).any(axis=2) | ((common & order[best]).sum(axis=2) != 1)
         if bad.any():
-            b = int(np.flatnonzero(bad)[0])
-            raise LatticeError(f"no {kind} bound of {{{labels[a]}, {labels[b]}}}")
-        table[a] = best
+            i, j = np.argwhere(bad)[0]
+            raise LatticeError(f"no {kind} bound of {{{labels[a.start + i]}, {labels[c.start + j]}}}")
+        table[a, c] = best
     return table
 
 
-def _primal_check(M: np.ndarray, J: np.ndarray, leq: np.ndarray, x: int, prop: ElementProperty) -> bool:
+def _primal_vector(M: np.ndarray, J: np.ndarray, leq: np.ndarray, prop: ElementProperty) -> np.ndarray:
+    """prop at every element x: its defining formula evaluated as (x, y, z)
+    arrays, a block of pairs (x, y) at a time."""
     n = len(leq)
-    jx = J[x]
-    mx = M[x]
-    if prop is ElementProperty.NEUTRAL:
-        lhs = M[M[jx[:, None], J], jx[None, :]]
-        rhs = J[J[mx[:, None], M], mx[None, :]]
-        return bool((lhs == rhs).all())
-    if prop is ElementProperty.STANDARD:
-        lhs = M[jx]
-        rhs = J[mx[None, :], M]
-        return bool((lhs == rhs).all())
-    if prop is ElementProperty.DISTRIBUTIVE:
-        lhs = jx[M]
-        rhs = M[jx[:, None], jx[None, :]]
-        return bool((lhs == rhs).all())
-    if prop is ElementProperty.MODULAR:
-        lhs = M[jx]
-        rhs = J[np.arange(n)[:, None], mx[None, :]]
-        return bool(((lhs == rhs) | ~leq).all())
-    if prop is ElementProperty.LOWER_MODULAR:
-        lhs = jx[M]
-        rhs = M[np.arange(n)[:, None], jx[None, :]]
-        return bool(((lhs == rhs) | ~leq[x][:, None]).all())
-    if prop is ElementProperty.CANCELLABLE:
-        fingerprints = jx.astype(np.int64) * n + mx
-        return int(np.unique(fingerprints).size) == n
-    raise AssertionError(f"{prop} is not a primal property")
+    holds = np.ones(n, dtype=bool)
+    for xs, ys in _blocks(n):
+        # (x, 1, z) and (x, y, 1) views; J[ys] and M[ys] broadcast as (y, z)
+        Jx, Mx = J[xs, None, :], M[xs, None, :]
+        Jxy, Mxy = J[xs, ys, None], M[xs, ys, None]
+        if prop is ElementProperty.NEUTRAL:
+            ok = M[M[Jxy, J[ys]], Jx] == J[J[Mxy, M[ys]], Mx]
+        elif prop is ElementProperty.STANDARD:
+            ok = M[J[xs, ys]] == J[Mx, M[ys]]
+        elif prop is ElementProperty.DISTRIBUTIVE:
+            ok = J[xs][:, M[ys]] == M[Jxy, Jx]
+        elif prop is ElementProperty.MODULAR:
+            ok = (M[J[xs, ys]] == J[ys][:, M[xs]].swapaxes(0, 1)) | ~leq[ys]
+        elif prop is ElementProperty.LOWER_MODULAR:
+            ok = (J[xs][:, M[ys]] == M[ys][:, J[xs]].swapaxes(0, 1)) | ~leq[xs, ys, None]
+        elif prop is ElementProperty.CANCELLABLE:
+            ok = (Jx != Jxy) | (Mx != Mxy) | (np.arange(n)[ys, None] == np.arange(n))
+        else:
+            raise AssertionError(f"{prop} is not a primal property")
+        holds[xs] &= ok.all(axis=(1, 2))
+    return holds
 
 
 def build_lattice(elements, covers, name: str = "") -> FiniteLattice:
@@ -205,6 +221,8 @@ def build_lattice(elements, covers, name: str = "") -> FiniteLattice:
     all rejected.
     """
     labels = tuple(elements)
+    if len(labels) > MAX_ELEMENTS:
+        raise LatticeError(f"{len(labels)} elements exceed the limit of {MAX_ELEMENTS}")
     if len(set(labels)) != len(labels):
         raise LatticeError("duplicate element labels")
     index = {label: k for k, label in enumerate(labels)}
@@ -348,6 +366,8 @@ def with_new_bottom(L: FiniteLattice) -> FiniteLattice:
 
 
 def product(A: FiniteLattice, B: FiniteLattice) -> FiniteLattice:
+    if len(A) * len(B) > MAX_ELEMENTS:
+        raise LatticeError(f"{len(A) * len(B)} elements exceed the limit of {MAX_ELEMENTS}")
     labels = tuple(f"({a},{b})" for a in A.labels for b in B.labels)
     order = np.kron(A.order.astype(np.int8), B.order.astype(np.int8)).astype(bool)
     return FiniteLattice(labels, order, name=f"{A.name}x{B.name}")

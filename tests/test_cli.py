@@ -5,6 +5,7 @@ import pytest
 
 from monvar import ElementProperty
 from monvar.cli import main
+from monvar.lattices import MAX_ELEMENTS
 
 
 @pytest.fixture
@@ -185,6 +186,7 @@ class TestLatticeCommand:
             {"elements": [0, 1, 2], "covers": [[0, 1], [1, 2]]},
             {"elements": "ab", "covers": [["a", "b"]]},
             {"elements": ["a", "b"], "covers": [["a", ["b"]]]},
+            {"elements": [str(k) for k in range(MAX_ELEMENTS + 1)], "covers": []},
         ],
     )
     def test_malformed_json_is_an_error(self, tmp_path, capsys, data):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from monvar import (
     with_new_bottom,
     with_new_top,
 )
+from monvar import lattices
+from monvar.lattices import MAX_ELEMENTS
 
 P = ElementProperty
 
@@ -117,6 +120,25 @@ class TestConstruction:
     def test_non_antisymmetric_order_rejected(self):
         with pytest.raises(LatticeError):
             FiniteLattice(("x", "y"), np.ones((2, 2), dtype=bool))
+
+    def test_integer_order_gives_the_same_properties(self):
+        # ~ of a 0/1 integer array is -1 or -2, never false
+        L = n5()
+        I = FiniteLattice(L.labels, L.order.astype(int))
+        for prop in P:
+            assert elements_with(I, prop) == elements_with(L, prop), prop
+        assert not has_property(I, "b", P.MODULAR)
+
+    def test_order_shape_must_match_the_labels(self):
+        with pytest.raises(LatticeError, match=r"order of shape \(3, 3\) for 2 labels"):
+            FiniteLattice(("a", "b"), np.eye(3, dtype=bool))
+
+    def test_more_than_max_elements_rejected(self):
+        labels = [str(k) for k in range(MAX_ELEMENTS + 1)]
+        with pytest.raises(LatticeError, match=f"{MAX_ELEMENTS + 1} elements exceed the limit"):
+            build_lattice(labels, [])
+        with pytest.raises(LatticeError, match=f"{MAX_ELEMENTS + 1} elements exceed the limit"):
+            product(chain(25), chain(41))
 
     def test_json_format(self):
         text = '{"elements": ["0", "a", "1"], "covers": [["0", "a"], ["a", "1"]]}'
@@ -362,3 +384,51 @@ class TestCatalog:
         # (t, b) with b non-modular in N5 stays non-modular in the product
         assert not has_property(L, "(1,b)", P.MODULAR)
         assert has_property(L, "(0,0)", P.NEUTRAL)
+
+
+class TestBlockedKernels:
+    """The bound and property kernels split lattices of more than 64 elements
+    into blocks; products are checked against their factors componentwise."""
+
+    def assert_componentwise(self, A, B):
+        L = product(A, B)
+        pairs = list(itertools.product(A.labels, B.labels))
+        for prop in P:
+            expected = [has_property(A, a, prop) and has_property(B, b, prop) for a, b in pairs]
+            assert [has_property(L, f"({a},{b})", prop) for a, b in pairs] == expected, prop
+        for (a1, b1), (a2, b2) in itertools.product(pairs, repeat=2):
+            x, y = f"({a1},{b1})", f"({a2},{b2})"
+            assert L.meet(x, y) == f"({A.meet(a1, a2)},{B.meet(b1, b2)})"
+            assert L.join(x, y) == f"({A.join(a1, a2)},{B.join(b1, b2)})"
+
+    def test_several_blocks_of_whole_rows(self):
+        assert 70**3 > lattices._BLOCK
+        self.assert_componentwise(n5(), chain(14))
+
+    def test_blocks_of_partial_rows(self, monkeypatch):
+        # a budget below n * n splits every row, as for lattices of over 512 elements
+        monkeypatch.setattr(lattices, "_BLOCK", 12)
+        self.assert_componentwise(n5(), chain(3))
+        self.assert_componentwise(chain(2), m3())
+        covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")]
+        with pytest.raises(LatticeError, match="no least upper bound of {a, b}"):
+            build_lattice(["0", "a", "b", "c", "d", "1"], covers)
+
+    def test_blocks_tile_every_pair_once_in_row_major_order(self):
+        for n in (1, 2, 64, 65, 512, 513, MAX_ELEMENTS):
+            seen = []
+            for xs, ys in lattices._blocks(n):
+                rows, cols = np.arange(n)[xs], np.arange(n)[ys]
+                assert len(rows) * len(cols) * n <= lattices._BLOCK
+                seen.append((rows[:, None] * n + cols).ravel())
+            assert (np.concatenate(seen) == np.arange(n * n)).all(), n
+
+    def test_memory_stays_within_the_block_budget(self):
+        # one unblocked n^3 int64 temporary at n = 128 would take 16.8 MB
+        tracemalloc.start()
+        try:
+            check_implications(chain(128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
