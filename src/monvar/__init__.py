@@ -63,8 +63,6 @@ from .varieties import (
     VarietyHandle,
     Verdict,
     c_normal_form,
-    combinatorial_witness,
-    completely_regular_witness,
     isoterm_for,
     parse_variety,
     reference_presentation,

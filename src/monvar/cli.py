@@ -2,12 +2,14 @@
 
 Exit codes: derive exits 0 on Proved, 1 on NotFoundWithinBounds, 2 on error;
 verify exits 0 when every requested scenario reports PASS or
-PASS_WITH_ASSUMPTIONS; all other commands exit 0 on success, 2 on error.
+PASS_WITH_ASSUMPTIONS, 1 otherwise, 2 on error; all other commands exit 0 on
+success, 2 on error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 from .lattices import (
@@ -109,9 +111,8 @@ def _cmd_lattice(args) -> int:
     props = list(ElementProperty)
     truth = {p: elements_with(lattice, p) for p in props}
     if args.csv:
-        for label in lattice.labels:
-            for p in props:
-                print(f"{label},{p.value},{str(label in truth[p]).lower()}")
+        rows = ([label, p.value, str(label in truth[p]).lower()] for label in lattice.labels for p in props)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
         return 0
     width = max(len("element"), *(len(label) for label in lattice.labels)) + 2
     header = "element".ljust(width) + " ".join(p.value for p in props)

@@ -362,16 +362,16 @@ def _kernel(runs: tuple, dst: tuple | None):
     """The compiled kernel of a pattern given as runs by _pattern.
 
     With dst, the (slot, repeat) runs of the replacing side, it is
-    kernel(s, limit, found, rule, over) -> over.  For every start i in
-    ascending order and every match of s[i:end] it first computes the
-    successor's length, n plus each slot's (dst count - src count) times its
-    image length.  A successor within limit is built and, if new to found,
-    recorded as found[q] = (i, end, rule, images); a longer one is never
-    built and only sets the returned flag.  A loop skips the empty image of a
-    variable whose other letters read alike on both sides, since every such
-    binding rewrites s to itself: the caller records s before any kernel
-    runs.  Without dst it is kernel(s) -> the images of every match of the
-    whole of s.
+    kernel(s, limit, found, rule, over) -> over, for a limit of at least
+    len(s).  For every start i in ascending order and every match of
+    s[i:end] it first computes the successor's length, n plus each slot's
+    (dst count - src count) times its image length.  A successor within
+    limit is built and, if new to found, recorded as found[q] = (i, end,
+    rule, images); a longer one is never built and only sets the returned
+    flag.  A loop skips the empty image of a variable whose other letters
+    read alike on both sides, since every such binding rewrites s to itself:
+    the caller records s before any kernel runs.  Without dst it is
+    kernel(s) -> the images of every match of the whole of s.
     """
     levels: list[tuple[int, list[tuple[int, int]]]] = []  # per slot: first repeat, later runs
     occurrences: list[int] = []
@@ -411,9 +411,6 @@ def _kernel(runs: tuple, dst: tuple | None):
         if c == 0 and expand:
             emit(0, "def k0(s, limit, found, rule, over):")
             emit(1, "n = len(s)")
-            if not any(growth):  # every successor is n long
-                emit(1, "if n > limit:")
-                emit(2, "return True")
             emit(1, "for i in range(n + 1):")
             emit(2, "h = s[:i]")
             emit(2, "a0 = i")
@@ -593,6 +590,7 @@ class Rewriter:
         return entry
 
     def _expand(self, s: str, cap: int | None) -> _Entry:
+        """The memo entry of s for cap, which is None or at least len(s)."""
         # The first step found for a successor is kept: identities in order,
         # forward before backward, prefixes by length, bindings depth-first.
         # The very first is the first rule's at prefix 0 with every image
@@ -604,10 +602,7 @@ class Rewriter:
         overflow = False
         if self._rules:
             first = self._rules[0]
-            if len(s) > limit:
-                overflow = True
-            else:
-                found[s] = (0, 0, first, ("",) * len(first.variables))
+            found[s] = (0, 0, first, ("",) * len(first.variables))
         for rule in self._rules:
             overflow = rule.kernel(s, limit, found, rule, overflow)
         order = list(found)
@@ -703,7 +698,6 @@ class Exploration:
     """
 
     start: Word
-    presentation: Presentation
     bounds: SearchBounds
     parents: dict[str, tuple[str, tuple] | None]
     saturated: bool
@@ -785,12 +779,12 @@ def explore(
                 parents[q] = (p, link)
                 next_frontier.append(q)
                 if q == target:
-                    return Exploration(start, sigma, bounds, parents, False, alphabet)
+                    return Exploration(start, bounds, parents, False, alphabet)
         _shortlex_sort(next_frontier)
         frontier = next_frontier
         depth += 1
     saturated = not frontier and not pruned
-    return Exploration(start, sigma, bounds, parents, saturated, alphabet)
+    return Exploration(start, bounds, parents, saturated, alphabet)
 
 
 def derive(

@@ -273,15 +273,16 @@ def _shape_ok(w: Word, k: int) -> bool:
     return True
 
 
-def find_shaped_identity(sigma: Presentation, k: int, bounds: SearchBounds | None = None) -> ShapedIdentity | None:
+def find_shaped_identity(sigma: Presentation, k: int) -> ShapedIdentity | None:
     """Search sigma for a derivable identity u = v over {x, y} where both
     sides use each variable exactly k times, neither side contains x^k or
     y^k as a factor, and ini(u) != ini(v).
 
     Candidates u of length 2k with ini(u) = xy are enumerated in shortlex
-    order; the congruence class of each candidate is explored and scanned
-    for a partner of the required shape.  A membership found in a capped
-    exploration is still a derivable identity, so partial classes count.
+    order; the congruence class of each candidate is explored under
+    default_bounds(sigma, u) and scanned for a partner of the required shape.
+    A membership found in a capped exploration is still a derivable
+    identity, so partial classes count.
     """
     sigma.require_content_balanced()
     if k < 2:
@@ -297,7 +298,7 @@ def find_shaped_identity(sigma: Presentation, k: int, bounds: SearchBounds | Non
             candidates.append(w)
     candidates.sort(key=lambda w: w.key)
     for u in candidates:
-        result = explore(sigma, u, bounds)
+        result = explore(sigma, u)
         partners = [
             v
             for v in result.words

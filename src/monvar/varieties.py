@@ -53,8 +53,6 @@ __all__ = [
     "c_normal_form",
     "satisfies",
     "isoterm_for",
-    "completely_regular_witness",
-    "combinatorial_witness",
     "parse_variety",
 ]
 
@@ -252,36 +250,6 @@ def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = No
             return Verdict.UNKNOWN_COMPOSITION if undecided else Verdict.YES
         return Verdict.UNKNOWN_COMPOSITION
     raise TypeError(f"not a variety handle: {handle!r}")
-
-
-def _least_power_witness(sigma: Presentation, n_max: int, bounds: SearchBounds | None, exponents) -> int | None:
-    """Least n <= n_max with x^a = x^b derivable from sigma, where (a, b) = exponents(n)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    x = Word((Variable("x"),))
-    for n in range(1, n_max + 1):
-        a, b = exponents(n)
-        if derive(sigma, x**a, x**b, bounds) is not None:
-            return n
-    return None
-
-
-def completely_regular_witness(sigma: Presentation, n_max: int, bounds: SearchBounds | None = None) -> int | None:
-    """Least n <= n_max with x = x^(1+n) derivable from sigma, if any.
-
-    A variety is completely regular exactly when it satisfies such an
-    identity for some n >= 1.
-    """
-    return _least_power_witness(sigma, n_max, bounds, lambda n: (1, 1 + n))
-
-
-def combinatorial_witness(sigma: Presentation, n_max: int, bounds: SearchBounds | None = None) -> int | None:
-    """Least n <= n_max with x^n = x^(n+1) derivable from sigma, if any.
-
-    A variety is combinatorial (all its groups are trivial) exactly when it
-    satisfies such an identity for some n >= 1.
-    """
-    return _least_power_witness(sigma, n_max, bounds, lambda n: (n, n + 1))
 
 
 _BUILTIN_NAMES = {handle.kind.value: handle for handle in (T, SL, C, LRB, RRB)} | {"MON": MON}

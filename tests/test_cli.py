@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 
@@ -6,6 +8,7 @@ import pytest
 from monvar import ElementProperty
 from monvar.cli import main
 from monvar.lattices import MAX_ELEMENTS
+from monvar.scenarios import FAILED, Report
 
 
 @pytest.fixture
@@ -180,6 +183,18 @@ class TestLatticeCommand:
         assert "b,modular,false" in out.splitlines()
         assert "0,neutral,true" in out.splitlines()
 
+    def test_csv_quotes_labels_with_separators(self, tmp_path, capsys):
+        path = tmp_path / "quoted.json"
+        labels = ["0", "a,b", 'say "hi"', "two\nlines"]
+        covers = [["0", "a,b"], ["a,b", 'say "hi"'], ['say "hi"', "two\nlines"]]
+        path.write_text(json.dumps({"elements": labels, "covers": covers}))
+        code = main(["lattice", "--file", str(path), "--csv"])
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert code == 0
+        assert len(rows) == len(labels) * len(ElementProperty)
+        assert all(len(row) == 3 for row in rows)
+        assert [row[0] for row in rows[:: len(ElementProperty)]] == labels
+
     @pytest.mark.parametrize(
         "data",
         [
@@ -218,3 +233,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "STATUS: PASS_WITH_ASSUMPTIONS" in out
         assert sum(1 for line in out.splitlines() if line.endswith("ASSUMED")) == 1
+
+    def test_failed_check_exits_1(self, monkeypatch, capsys):
+        def failing(name):
+            report = Report(name, "a scenario whose check fails")
+            report.add("a check that fails", FAILED, "forced")
+            return report
+
+        monkeypatch.setattr("monvar.cli.run_scenario", failing)
+        code = main(["verify", "S1"])
+        assert code == 1
+        assert "STATUS: FAIL" in capsys.readouterr().out.splitlines()

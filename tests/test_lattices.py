@@ -97,10 +97,16 @@ class TestConstruction:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(LatticeError, match="duplicate"):
             build_lattice(["a", "a"], [])
+        with pytest.raises(LatticeError, match="duplicate"):
+            FiniteLattice(("a", "a"), np.eye(2, dtype=bool))
+        with pytest.raises(LatticeError, match="at least one element"):
+            FiniteLattice((), np.zeros((0, 0), dtype=bool))
 
     def test_unknown_cover_label_rejected(self):
         with pytest.raises(LatticeError, match="unknown"):
             build_lattice(["a"], [("a", "b")])
+        with pytest.raises(LatticeError, match="reflexive"):
+            build_lattice(["a"], [("a", "a")])
 
     def test_missing_meet_rejected(self):
         # two maximal elements above two minimal ones: no bounds at all
@@ -154,6 +160,8 @@ class TestConstruction:
     def test_json_rejects_non_list_elements(self):
         with pytest.raises(LatticeError, match="list of string labels"):
             lattice_from_json('{"elements": "ab", "covers": [["a", "b"]]}')
+        with pytest.raises(LatticeError, match="'covers' must be a list"):
+            lattice_from_json('{"elements": ["a", "b"], "covers": {"a": "b"}}')
 
     def test_json_rejects_nested_cover_pair(self):
         with pytest.raises(LatticeError, match="bad cover pair"):

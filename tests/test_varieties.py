@@ -21,8 +21,6 @@ from monvar import (
     Verdict,
     Word,
     c_normal_form,
-    combinatorial_witness,
-    completely_regular_witness,
     derive,
     explore,
     isoterm_for,
@@ -207,27 +205,6 @@ class TestIsoterms:
         assert isoterm_for(join, parse_word("xyxyx")) is Verdict.UNKNOWN_COMPOSITION
 
 
-class TestWitnesses:
-    def test_lrb_system_is_completely_regular(self):
-        assert completely_regular_witness(Presentation.of("xy = xyx"), 3) == 1
-
-    def test_c_system_is_not_completely_regular(self):
-        sigma = reference_presentation(BuiltinKind.C)
-        assert completely_regular_witness(sigma, 5) is None
-
-    def test_empty_system_has_no_witness(self):
-        assert completely_regular_witness(Presentation(), 3) is None
-
-    def test_combinatorial_witnesses(self):
-        assert combinatorial_witness(reference_presentation(BuiltinKind.C), 3) == 2
-        assert combinatorial_witness(Presentation.of("xy = xyx"), 3) == 1
-        assert combinatorial_witness(Presentation.of("x = x^3"), 5) is None
-
-    def test_n_max_validation(self):
-        with pytest.raises(ValueError):
-            completely_regular_witness(Presentation(), 0)
-
-
 class TestHandleExpressions:
     def test_builtin_names(self):
         assert parse_variety("LRB") == LRB
@@ -251,6 +228,10 @@ class TestHandleExpressions:
     def test_rejects_trailing_garbage(self):
         with pytest.raises(ValueError):
             parse_variety("meet(SL, C) extra")
+        with pytest.raises(ValueError, match="expected ',' or '\\)'"):
+            parse_variety("meet(join(SL) C)")
+        with pytest.raises(ValueError, match="empty file reference"):
+            parse_variety("@")
 
     def test_nesting_cap(self):
         at_cap = "meet(" * MAX_NESTING + "SL" + ")" * MAX_NESTING
@@ -261,6 +242,8 @@ class TestHandleExpressions:
     def test_empty_composition_rejected(self):
         with pytest.raises(ValueError):
             Meet(())
+        with pytest.raises(ValueError, match="join of an empty list"):
+            Join(())
 
 
 class TestDeciderOracleSmoke:

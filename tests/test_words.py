@@ -47,6 +47,8 @@ class TestParseFormat:
         w = parse_word("x1^2x10y")
         assert w.letters == (Variable("x1"), Variable("x1"), Variable("x10"), Y)
         assert parse_word(format_word(w)) == w
+        with pytest.raises(WordSyntaxError, match="bad variable token"):
+            Variable("X")
 
     @pytest.mark.parametrize("bad", ["", "  ", "x^0", "X", "2x", "x^", "x y"])
     def test_rejects_malformed(self, bad):
@@ -140,6 +142,8 @@ class TestSubstitution:
         a = Substitution({X: parse_word("yy")})
         b = Substitution({X: parse_word("y^2")})
         assert a == b and hash(a) == hash(b)
+        with pytest.raises(TypeError, match="maps Variable to Word"):
+            Substitution({X: "yy"})
 
 
 class TestWordAlgebra:
@@ -150,6 +154,8 @@ class TestWordAlgebra:
     def test_power(self):
         assert Word([X]) ** 4 == parse_word("x^4")
         assert parse_word("xy") ** 0 == EMPTY
+        with pytest.raises(ValueError, match="negative word power"):
+            parse_word("xy") ** -1
 
     def test_shortlex_order(self):
         assert parse_word("z") < parse_word("xy")
@@ -161,3 +167,5 @@ class TestWordAlgebra:
         assert not has_kth_power_factor(parse_word("x^6yx^7"), 12)
         assert has_kth_power_factor(parse_word("xyxy"), 2)
         assert not has_kth_power_factor(parse_word("xyx"), 2)
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            has_kth_power_factor(parse_word("xyx"), 0)
