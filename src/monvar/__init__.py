@@ -68,28 +68,6 @@ from .varieties import (
     reference_presentation,
     satisfies,
 )
-from .lattices import (
-    ElementProperty,
-    FiniteLattice,
-    LatticeError,
-    PROPERTY_IMPLICATIONS,
-    boolean_cube,
-    build_lattice,
-    builtin_catalog,
-    chain,
-    check_implications,
-    elements_with,
-    has_property,
-    is_sublattice,
-    lattice_from_json,
-    load_lattice_file,
-    m3,
-    n5,
-    product,
-    search_element_counterexample,
-    with_new_bottom,
-    with_new_top,
-)
 from .scenarios import (
     Check,
     E_PRESENTATION,
@@ -102,3 +80,43 @@ from .scenarios import (
 )
 
 __version__ = "0.1.0"
+
+# The lattice side is the only user of numpy, so its names load
+# monvar.lattices on first access rather than with the package.
+_LATTICE_NAMES = frozenset({
+    "ElementProperty",
+    "FiniteLattice",
+    "LatticeError",
+    "PROPERTY_IMPLICATIONS",
+    "boolean_cube",
+    "build_lattice",
+    "builtin_catalog",
+    "chain",
+    "check_implications",
+    "elements_with",
+    "has_property",
+    "is_sublattice",
+    "lattice_from_json",
+    "load_lattice_file",
+    "m3",
+    "n5",
+    "product",
+    "search_element_counterexample",
+    "with_new_bottom",
+    "with_new_top",
+})
+
+# A star import still brings the lattice names, and so loads numpy.
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _LATTICE_NAMES)
+
+
+def __getattr__(name: str):
+    if name in _LATTICE_NAMES:
+        from . import lattices
+
+        return getattr(lattices, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LATTICE_NAMES})

@@ -12,13 +12,7 @@ import argparse
 import csv
 import sys
 
-from .lattices import (
-    ElementProperty,
-    check_implications,
-    elements_with,
-    has_property,
-    load_lattice_file,
-)
+from ._properties import ElementProperty
 from .rewriting import (
     Identity,
     Presentation,
@@ -92,6 +86,8 @@ def _cmd_satisfies(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    from .lattices import check_implications, elements_with, has_property, load_lattice_file
+
     lattice = load_lattice_file(args.file)
     if args.element is not None or args.property is not None:
         if args.element is None or args.property is None:
@@ -132,14 +128,14 @@ def _cmd_verify(args) -> int:
     all_ok = True
     for name in names:
         report = run_scenario(name)
-        text = report.render()
+        text = report.render() + "\n"
         rendered.append(text)
-        print(text)
+        print(text, end="")
         if report.status not in ("PASS", "PASS_WITH_ASSUMPTIONS"):
             all_ok = False
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rendered))
+            fh.write("".join(rendered))
     return 0 if all_ok else 1
 
 

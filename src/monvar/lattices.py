@@ -11,10 +11,11 @@ blocks of (x, y) pairs holding at most _BLOCK entries; n <= 64 is one block.
 from __future__ import annotations
 
 import json
-from enum import Enum
 from functools import cache
 
 import numpy as np
+
+from ._properties import PROPERTY_IMPLICATIONS, ElementProperty
 
 __all__ = [
     "LatticeError",
@@ -48,32 +49,6 @@ class LatticeError(ValueError):
 MAX_ELEMENTS = 1024
 # Most entries held by any temporary array of the bound and property kernels.
 _BLOCK = 1 << 18
-
-
-class ElementProperty(Enum):
-    NEUTRAL = "neutral"
-    STANDARD = "standard"
-    COSTANDARD = "costandard"
-    DISTRIBUTIVE = "distributive"
-    CODISTRIBUTIVE = "codistributive"
-    MODULAR = "modular"
-    LOWER_MODULAR = "lower-modular"
-    UPPER_MODULAR = "upper-modular"
-    CANCELLABLE = "cancellable"
-
-
-# Element-wise implications that hold in every lattice.
-PROPERTY_IMPLICATIONS: tuple[tuple[ElementProperty, ElementProperty], ...] = (
-    (ElementProperty.NEUTRAL, ElementProperty.STANDARD),
-    (ElementProperty.NEUTRAL, ElementProperty.COSTANDARD),
-    (ElementProperty.STANDARD, ElementProperty.CANCELLABLE),
-    (ElementProperty.COSTANDARD, ElementProperty.CANCELLABLE),
-    (ElementProperty.CANCELLABLE, ElementProperty.MODULAR),
-    (ElementProperty.STANDARD, ElementProperty.DISTRIBUTIVE),
-    (ElementProperty.COSTANDARD, ElementProperty.CODISTRIBUTIVE),
-    (ElementProperty.DISTRIBUTIVE, ElementProperty.LOWER_MODULAR),
-    (ElementProperty.CODISTRIBUTIVE, ElementProperty.UPPER_MODULAR),
-)
 
 _DUAL_OF = {
     ElementProperty.COSTANDARD: ElementProperty.STANDARD,

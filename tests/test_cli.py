@@ -210,6 +210,14 @@ class TestLatticeCommand:
         assert main(["lattice", "--file", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_property_lists_every_choice(self, pentagon_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice", "--file", pentagon_file, "--element", "b", "--property", "bogus"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "invalid choice" in err
+        assert re.findall(r"[\w-]+", err.split("choose from", 1)[1]) == [p.value for p in ElementProperty]
+
     def test_implications(self, pentagon_file, capsys):
         code = main(["lattice", "--file", pentagon_file, "--implications"])
         assert code == 0
@@ -226,6 +234,7 @@ class TestVerifyCommand:
         written = report_path.read_text()
         assert "SCENARIO S1" in written and "STATUS: PASS" in written
         assert "CONCLUSION" in written
+        assert written == out
 
     def test_s3_passes_with_assumptions(self, capsys):
         code = main(["verify", "S3"])
