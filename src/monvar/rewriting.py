@@ -16,21 +16,24 @@ images, which makes the successor set of a word infinite; such systems are
 rejected with ContentUnbalancedError instead of being silently truncated.
 
 All searches go through one Rewriter per presentation, shared by equal
-presentations through a registry that, past its limit on rewriters or on memo
-entries, evicts the least recently used rewriter first, memo and all.  A
-Rewriter holds the compiled rules (both orientations), a memo of successor
-sets and the memo's counters.  Each rule runs as a kernel: Python source
-generated for the rule's shape (its variable slots and their runs) and
-compiled once, which matches by nested loops and measures every successor
-before building it.  A successor longer than the length cap is never built; it
-only marks the entry as capped.  A memo entry holds a word's successors within
-the length cap it was built under, and keeps that cap only when a longer
-successor exists.  An entry that left out nothing is complete and serves every
-cap, and a request for a larger cap, or for no cap, expands the word again,
-which counts as a miss.  Internally a word is a str with one character per
-letter, coded in the name order of its content, so shortlex order is string
-order; Word stays the public type, and a RewriteStep is built only for a
-certificate or for one_step_successors.
+presentations through a registry.  A Rewriter holds the compiled rules (both
+orientations), a memo of successor sets and the memo's counters.  Each rule
+runs as a kernel: Python source generated for the rule's shape (its variable
+slots and their runs) and compiled once, which matches by nested loops and
+measures every successor before building it.  A successor longer than the
+length cap is never built; it only marks the entry as capped.
+
+Successors are memoised at two levels: a memo per rule shape, shared by every
+presentation with a rule of that shape, holds what its kernel gave each word,
+and a rewriter's memo holds the union of its rules' matches.  An entry holds
+a word's successors within the length cap it was built under, and keeps that
+cap only when a longer successor exists.  An entry that left out nothing is
+complete and serves every cap; a request for a larger cap, or for no cap,
+builds the entry again.  Past its limit on memos or on entries, the registry
+evicts the least recently used memo of either level first.  Internally a
+word is a str with one character per letter, coded in the name order of its
+content, so shortlex order is string order; Word stays the public type, and a
+RewriteStep is built only for a certificate or for one_step_successors.
 
 Every exact operation wraps one search, explore: derive stops it at its target
 (and skips it for two words of different content, which no content-balanced
@@ -362,12 +365,12 @@ def _kernel(runs: tuple, dst: tuple | None):
     """The compiled kernel of a pattern given as runs by _pattern.
 
     With dst, the (slot, repeat) runs of the replacing side, it is
-    kernel(s, limit, found, rule, over) -> over, for a limit of at least
+    kernel(s, limit, found, shape, over) -> over, for a limit of at least
     len(s).  For every start i in ascending order and every match of
     s[i:end] it first computes the successor's length, n plus each slot's
     (dst count - src count) times its image length.  A successor within
     limit is built and, if new to found, recorded as found[q] = (i, end,
-    rule, images); a longer one is never built and only sets the returned
+    shape, images); a longer one is never built and only sets the returned
     flag.  A loop skips the empty image of a variable whose other letters
     read alike on both sides, since every such binding rewrites s to itself:
     the caller records s before any kernel runs.  Without dst it is
@@ -409,7 +412,7 @@ def _kernel(runs: tuple, dst: tuple | None):
     for c, low in enumerate(range(0, m, _NEST) if m else [0]):
         high = min(low + _NEST, m)
         if c == 0 and expand:
-            emit(0, "def k0(s, limit, found, rule, over):")
+            emit(0, "def k0(s, limit, found, shape, over):")
             emit(1, "n = len(s)")
             emit(1, "for i in range(n + 1):")
             emit(2, "h = s[:i]")
@@ -422,7 +425,7 @@ def _kernel(runs: tuple, dst: tuple | None):
             emit(1, "a0 = 0")
             depth = 1
         else:
-            head = f"s, n, limit, found, rule, i, h, over, g{low}, " if expand else "s, n, out, "
+            head = f"s, n, limit, found, shape, i, h, over, g{low}, " if expand else "s, n, out, "
             emit(0, f"def k{c}({head}{carried(low)}a{low}):")
             g, depth = f"g{low}", 1
         for k in range(low, high):
@@ -447,7 +450,7 @@ def _kernel(runs: tuple, dst: tuple | None):
                 emit(depth + 1, "continue")
                 emit(depth, f"a{k + 1} += {_times(f'l{j}', r)}")
         if high < m:
-            call = f"over = k{c + 1}(s, n, limit, found, rule, i, h, over, {g}, " if expand else f"k{c + 1}(s, n, out, "
+            call = f"over = k{c + 1}(s, n, limit, found, shape, i, h, over, {g}, " if expand else f"k{c + 1}(s, n, out, "
             emit(depth, f"{call}{carried(high)}a{high})")
         elif expand:
             if any(growth):
@@ -458,7 +461,7 @@ def _kernel(runs: tuple, dst: tuple | None):
             parts = "".join(f"{_times(f'v{j}', r)}, " for j, r in dst)
             emit(depth, f'q = "".join((h, {parts}s[a{m}:]))')
             emit(depth, "if q not in found:")
-            emit(depth + 1, f"found[q] = (i, a{m}, rule, ({images}))")
+            emit(depth + 1, f"found[q] = (i, a{m}, shape, ({images}))")
         else:
             emit(depth, f"if a{m} == n:")
             emit(depth + 1, f"out.append(({images}))")
@@ -477,7 +480,8 @@ class _Rule(NamedTuple):
     identity_index: int
     forward: bool
     variables: tuple[Variable, ...]  # by slot
-    kernel: Callable  # _kernel(runs of the rewritten side, slot runs of the replacing side)
+    shape: tuple  # (runs of the rewritten side, slot runs of the replacing side)
+    kernel: Callable  # _kernel(*shape)
 
 
 def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
@@ -495,7 +499,7 @@ def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
             shape = (runs, tuple((slot[v], len(list(group))) for v, group in groupby(dst.letters)))
             if shape not in seen:
                 seen.add(shape)
-                rules.append(_Rule(index, forward, variables, _kernel(*shape)))
+                rules.append(_Rule(index, forward, variables, shape, _kernel(*shape)))
     return tuple(rules)
 
 
@@ -509,9 +513,28 @@ class _Entry(NamedTuple):
     cap: int | None
 
 
-def _step(alphabet: tuple[Variable, ...], source: str, link: tuple) -> RewriteStep:
+class _Match(NamedTuple):
+    """A shape memo entry: the successor codes one rule shape gives a word,
+    other than the word itself, with their links in the order found; cap is
+    as in _Entry, and limit the length cap it was built under (inf for none)."""
+
+    successors: dict[str, tuple]
+    cap: int | None
+    limit: float
+
+
+class _ShapeMemo:
+    """One rule shape's _Match of each word code, shared by every rewriter."""
+
+    def __init__(self):
+        self._memo: dict[str, _Match] = {}
+        self._registered = False
+
+
+def _step(rules: dict[tuple, _Rule], alphabet: tuple[Variable, ...], source: str, link: tuple) -> RewriteStep:
     """The RewriteStep behind a memoised successor link of the code source."""
-    i, end, rule, images = link
+    i, end, shape, images = link
+    rule = rules[shape]  # the presentation's rule of the link's shape
     subst = Substitution({v: _word(alphabet, image) for v, image in zip(rule.variables, images)})
     prefix, suffix = _word(alphabet, source[:i]), _word(alphabet, source[end:])
     return RewriteStep(prefix, suffix, rule.identity_index, rule.forward, subst)
@@ -522,35 +545,37 @@ class Rewriter:
     successor memo and the memo's counters.
 
     Get it with Rewriter.of(sigma), which returns one shared instance for all
-    equal presentations and marks it as the most recently used.  Past either
-    registry limit the least recently used rewriter is evicted and its memo
-    emptied; neither an evicted rewriter nor a Rewriter(sigma) built directly
-    memoises anything.  Each rule carries the kernel compiled for its shape,
-    shared by every rule of that shape in any presentation; a kernel computes
-    each match's successor length first and builds only the successors within
-    the cap.  The memo maps a word code to an _Entry: its successor codes
-    within the length cap it was built under, in shortlex order, each with a
-    link (prefix end, suffix start, rule, images) from which the RewriteStep
-    is built on demand, and that cap if a longer successor exists (measured,
-    never built), else None.
+    equal presentations and marks it as the most recently used.  Each rule
+    carries the kernel compiled for its shape, shared by every rule of that
+    shape in any presentation; a kernel computes each match's successor
+    length first and builds only the successors within the cap.
+
+    The memo maps a word code to an _Entry, the union of the _Matches its
+    rules' shape memos hold: its successor codes within the length cap it
+    was built under, in shortlex order, each with a link (prefix end, suffix
+    start, rule shape, images) from which the RewriteStep is built on demand
+    through this rewriter's rule of that shape, and that cap if a longer
+    successor exists (measured, never built), else None.  Neither an evicted
+    rewriter nor a Rewriter(sigma) built directly uses a memo of either level.
     """
 
     def __init__(self, sigma: Presentation):
         sigma.require_content_balanced()
         self.presentation = sigma
         self._rules = _compile(sigma)
+        self._rule_of = {rule.shape: rule for rule in self._rules}
         self._memo: dict[str, _Entry] = {}
+        self._registered = False
         self._calls = 0
         self._misses = 0
+        self._kernel_runs = 0
 
     @classmethod
     def of(cls, sigma: Presentation) -> "Rewriter":
         """The shared rewriter of sigma; raises ContentUnbalancedError for a
         system that is not content-balanced."""
         rewriter = _REGISTRY.pop(sigma, None) or cls(sigma)
-        _REGISTRY[sigma] = rewriter  # now the most recently used
-        if len(_REGISTRY) > _MAX_REWRITERS:
-            _evict(next(iter(_REGISTRY)))
+        _register(sigma, rewriter)
         return rewriter
 
     @property
@@ -573,6 +598,11 @@ class Rewriter:
         """Words whose successors the memo holds now."""
         return len(self._memo)
 
+    @property
+    def kernel_runs(self) -> int:
+        """Rule kernels run for misses, not counting matches a shape memo held."""
+        return self._kernel_runs
+
     def _successors(self, s: str, cap: int | None = None) -> _Entry:
         """The memo entry of the word code s for a request for its successors
         no longer than cap, which is at least len(s), or for all of them when
@@ -592,73 +622,109 @@ class Rewriter:
     def _expand(self, s: str, cap: int | None) -> _Entry:
         """The memo entry of s for cap, which is None or at least len(s)."""
         # The first step found for a successor is kept: identities in order,
-        # forward before backward, prefixes by length, bindings depth-first.
-        # The very first is the first rule's at prefix 0 with every image
-        # empty, which rewrites s to itself; it is recorded here, so kernels
-        # may skip bindings that only give s again.  A kernel measures each
-        # successor before building it and never builds one longer than cap.
+        # forward before backward (merged last first, so the earlier rule's
+        # link wins), prefixes by length, bindings depth-first.  Every match
+        # giving q is len(q) long, so a cap never changes which link is
+        # first.  s gets the first rule's link at prefix 0 with every image
+        # empty, so kernels may skip bindings that only give s again.
         limit = math.inf if cap is None else cap
         found: dict[str, tuple] = {}
-        overflow = False
+        wider, overflow = False, False
+        for rule in reversed(self._rules):
+            match = self._match(rule, s, cap, limit)
+            found.update(match.successors)
+            wider = wider or match.limit > limit
+            overflow = overflow or match.cap is not None
         if self._rules:
             first = self._rules[0]
-            found[s] = (0, 0, first, ("",) * len(first.variables))
-        for rule in self._rules:
-            overflow = rule.kernel(s, limit, found, rule, overflow)
+            found[s] = (0, 0, first.shape, ("",) * len(first.variables))
         order = list(found)
+        if wider:  # a match built for a larger cap may hold longer successors
+            order = [q for q in order if len(q) <= limit]
+            overflow = overflow or len(order) < len(found)
         _shortlex_sort(order)
         return _Entry(tuple([(q, found[q]) for q in order]), cap if overflow else None)
 
+    def _match(self, rule: _Rule, s: str, cap: int | None, limit: float) -> _Match:
+        """The _Match of rule's shape for s within cap (limit is cap as a
+        number), from the shape memo while this rewriter is registered; one
+        that left out successors the request wants is rebuilt."""
+        memo = None
+        if self._registered:
+            memo = _REGISTRY.pop(rule.shape, None) or _ShapeMemo()
+            _register(rule.shape, memo)
+            match = memo._memo.get(s)
+            if match is not None:
+                if match.cap is None or cap is not None and cap <= match.cap:
+                    return match
+                _release(memo, s)
+        self._kernel_runs += 1
+        found: dict[str, tuple] = {s: ()}  # so the kernel skips s
+        over = rule.kernel(s, limit, found, rule.shape, False)
+        del found[s]
+        match = _Match(found, cap if over else None, limit)
+        if memo is not None and _admit(memo, 1 + len(found)):
+            memo._memo[s] = match
+        return match
 
-# The registry shares one Rewriter between equal presentations.  It holds at
-# most _MAX_REWRITERS of them, and all their memos together hold at most
-# MAX_MEMO_ENTRIES entries, one per memoised word and one per successor it
-# holds.  An entry holds only the successors within the cap it was built
-# under, and keeps that cap when it left a longer one out; an entry that left
-# out nothing serves every cap, and one re-expanded for a larger cap replaces
-# the old entry in the count.  Both limits keep one rule: _evict takes out the
-# least recently used rewriter (the dict's first) and empties its memo, and a
-# rewriter that has left the registry memoises nothing.
+
+# The registry shares one Rewriter between equal presentations, and one
+# _ShapeMemo between rules of one shape.  It holds at most _MAX_REWRITERS of
+# the two, and all their memos together hold at most MAX_MEMO_ENTRIES entries,
+# one per memoised word and one per successor it holds.  An entry rebuilt for
+# a larger cap replaces the old one in the count.  Both limits keep one rule:
+# _evict takes out the least recently used (the dict's first) and empties its
+# memo, and one that has left the registry memoises nothing.
 MAX_MEMO_ENTRIES = 1 << 20
 _MAX_REWRITERS = 256
-_REGISTRY: dict[Presentation, Rewriter] = {}
+_REGISTRY: dict[Presentation | tuple, Rewriter | _ShapeMemo] = {}
 _memo_entries = 0
 
 
-def _evict(sigma: Presentation) -> Rewriter:
-    """Take sigma's rewriter out of the registry, empty its memo, take its
-    entries off the count and return it."""
-    global _memo_entries
-    rewriter = _REGISTRY.pop(sigma)
-    _memo_entries -= sum(1 + len(entry.successors) for entry in rewriter._memo.values())
-    rewriter._memo.clear()
-    return rewriter
+def _register(key: Presentation | tuple, holder: Rewriter | _ShapeMemo) -> None:
+    """Make holder key's entry and the most recently used, within the limit."""
+    holder._registered = True
+    _REGISTRY[key] = holder
+    if len(_REGISTRY) > _MAX_REWRITERS:
+        _evict(next(iter(_REGISTRY)))
 
 
-def _admit(rewriter: Rewriter, entries: int) -> bool:
-    """Whether rewriter may memoise a word holding entries - 1 successors,
-    whose entries are then counted.  Least recently used rewriters are
-    evicted until the entries fit, and rewriter itself may be one of them."""
+def _evict(key: Presentation | tuple) -> Rewriter | _ShapeMemo:
+    """Take key's rewriter or shape memo out of the registry, empty its memo,
+    take its entries off the count and return it."""
     global _memo_entries
-    if _REGISTRY.get(rewriter.presentation) is not rewriter or entries > MAX_MEMO_ENTRIES:
+    holder = _REGISTRY.pop(key)
+    _memo_entries -= sum(1 + len(entry.successors) for entry in holder._memo.values())
+    holder._memo.clear()
+    holder._registered = False
+    return holder
+
+
+def _admit(holder: Rewriter | _ShapeMemo, entries: int) -> bool:
+    """Whether holder may memoise a word holding entries - 1 successors,
+    whose entries are then counted.  Least recently used memos are evicted
+    until the entries fit, and holder itself may be one of them."""
+    global _memo_entries
+    if not holder._registered or entries > MAX_MEMO_ENTRIES:
         return False
     while _memo_entries + entries > MAX_MEMO_ENTRIES:
-        if _evict(next(iter(_REGISTRY))) is rewriter:
+        if _evict(next(iter(_REGISTRY))) is holder:
             return False
     _memo_entries += entries
     return True
 
 
-def _release(rewriter: Rewriter, s: str) -> None:
-    """Take the memo entry of s out of rewriter's memo and off the count."""
+def _release(holder: Rewriter | _ShapeMemo, s: str) -> None:
+    """Take the memo entry of s out of holder's memo and off the count."""
     global _memo_entries
-    _memo_entries -= 1 + len(rewriter._memo.pop(s).successors)
+    _memo_entries -= 1 + len(holder._memo.pop(s).successors)
 
 
 def clear_successor_cache() -> None:
-    """Evict every rewriter, which empties the registry and every memo."""
-    for sigma in list(_REGISTRY):
-        _evict(sigma)
+    """Evict every rewriter and shape memo, which empties the registry and
+    every memo at both levels."""
+    for key in list(_REGISTRY):
+        _evict(key)
 
 
 def match_pattern(pattern: Word, target: Word) -> set[Substitution]:
@@ -681,7 +747,8 @@ def one_step_successors(p: Word, sigma: Presentation) -> dict[Word, RewriteStep]
     """
     rewriter = Rewriter.of(sigma)
     alphabet, s = _encode(p)
-    return {_word(alphabet, q): _step(alphabet, s, link) for q, link in rewriter._successors(s).successors}
+    rules = rewriter._rule_of
+    return {_word(alphabet, q): _step(rules, alphabet, s, link) for q, link in rewriter._successors(s).successors}
 
 
 @dataclass
@@ -693,8 +760,9 @@ class Exploration:
     pruned and no cap reached, in which case ``words`` is exactly the class
     of the start word under the fully invariant congruence of the presented
     variety.  ``parents`` is keyed on the engine's internal word codes over
-    ``alphabet`` (one entry per visited word); use ``words`` and
-    ``certificate_to`` for Words and steps.
+    ``alphabet`` (one entry per visited word), and ``rules`` maps the rule
+    shape each link names to the presentation's rule of that shape; use
+    ``words`` and ``certificate_to`` for Words and steps.
     """
 
     start: Word
@@ -702,6 +770,7 @@ class Exploration:
     parents: dict[str, tuple[str, tuple] | None]
     saturated: bool
     alphabet: tuple[Variable, ...]
+    rules: dict[tuple, _Rule]
 
     @property
     def words(self) -> frozenset[Word]:
@@ -717,7 +786,7 @@ class Exploration:
             if link is None:
                 break
             parent, step = link
-            steps.append(_step(alphabet, parent, step))
+            steps.append(_step(self.rules, alphabet, parent, step))
             cursor = parent
         steps.reverse()
         return DerivationCertificate(self.start, tuple(steps))
@@ -779,12 +848,12 @@ def explore(
                 parents[q] = (p, link)
                 next_frontier.append(q)
                 if q == target:
-                    return Exploration(start, bounds, parents, False, alphabet)
+                    return Exploration(start, bounds, parents, False, alphabet, rewriter._rule_of)
         _shortlex_sort(next_frontier)
         frontier = next_frontier
         depth += 1
     saturated = not frontier and not pruned
-    return Exploration(start, bounds, parents, saturated, alphabet)
+    return Exploration(start, bounds, parents, saturated, alphabet, rewriter._rule_of)
 
 
 def derive(

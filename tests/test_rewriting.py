@@ -218,26 +218,43 @@ def reference_matches(runs, slots, s, start):
             return found
 
 
-def reference_expand(rewriter, s, cap):
+def reference_expand(sigma, s, cap):
     """The memo entry Rewriter._expand(s, cap) must give, by building every
-    successor of every match and dropping those longer than cap."""
+    successor of every match and dropping those longer than cap, with each
+    link's rule given as (identity index, forward, variables by slot)."""
     limit = math.inf if cap is None else cap
     found = {}
     overflow = False
-    for rule in rewriter._rules:
-        ident = rewriter.presentation.identities[rule.identity_index]
-        src, dst = (ident.lhs, ident.rhs) if rule.forward else (ident.rhs, ident.lhs)
-        runs, variables = rewriting._pattern(src.letters)
-        slot = {v: j for j, v in enumerate(variables)}
-        for i in range(len(s) + 1):
-            for end, images in reference_matches(runs, len(variables), s, i):
-                q = s[:i] + "".join(images[slot[v]] for v in dst.letters) + s[end:]
-                if len(q) > limit:
-                    overflow = True
-                elif q not in found:
-                    found[q] = (i, end, rule, images)
+    shapes = set()
+    for index, ident in enumerate(sigma.identities):
+        for forward in (True, False):
+            src, dst = (ident.lhs, ident.rhs) if forward else (ident.rhs, ident.lhs)
+            runs, variables = rewriting._pattern(src.letters)
+            slot = {v: j for j, v in enumerate(variables)}
+            # a rule that is an earlier one with its variables renamed adds no link
+            shape = (runs, tuple(slot[v] for v in dst.letters))
+            if shape in shapes:
+                continue
+            shapes.add(shape)
+            for i in range(len(s) + 1):
+                for end, images in reference_matches(runs, len(variables), s, i):
+                    q = s[:i] + "".join(images[slot[v]] for v in dst.letters) + s[end:]
+                    if len(q) > limit:
+                        overflow = True
+                    elif q not in found:
+                        found[q] = (i, end, (index, forward, variables), images)
     order = sorted(found, key=lambda q: (len(q), q))
     return [(q, found[q]) for q in order], cap if overflow else None
+
+
+def resolved(rewriter, entry):
+    """An _Entry with each link's shape resolved through rewriter's rules, in
+    reference_expand's form."""
+    successors = []
+    for q, (i, end, shape, images) in entry.successors:
+        rule = rewriter._rule_of[shape]
+        successors.append((q, (i, end, (rule.identity_index, rule.forward, rule.variables), images)))
+    return successors, entry.cap
 
 
 class TestSuccessorOracle:
@@ -344,7 +361,64 @@ class TestSuccessorOracle:
             for cap in [*range(max(1, len(s)), len(s) + 4), None]:
                 entry = rewriter._expand(s, cap)
                 # codes, order and links (rule and images included) and the kept cap
-                assert (list(entry.successors), entry.cap) == reference_expand(rewriter, s, cap), (sigma, word, cap)
+                assert resolved(rewriter, entry) == reference_expand(sigma, s, cap), (sigma, word, cap)
+
+    def test_shared_shape_memos_change_no_answer(self):
+        # pairs that share rule shapes under another identity index,
+        # orientation or variable names, then seeded systems paired with their
+        # identities reversed and their variables renamed
+        rng = random.Random(4211)
+        pairs = [
+            (reference_presentation(BuiltinKind.SL), reference_presentation(BuiltinKind.C)),
+            (Presentation.of("xy = yx"), Presentation.of("yx = xy", "x^2 = x")),
+            (Presentation.of("x^2y = xy^2"), Presentation.of("yx^2 = y^2x")),
+            (Presentation.of("xy = yx"), Presentation.of("x^2 = x", "zx = xz")),
+        ]
+        rename = dict(zip(self.NAMES, self.NAMES[1:] + self.NAMES[:1]))
+
+        def renamed(w):
+            return Word([rename[v] for v in w.letters])
+
+        for _ in range(12):
+            sigma = self.random_system(rng)
+            other = tuple(Identity(renamed(i.lhs), renamed(i.rhs)) for i in reversed(sigma.identities))
+            pairs.append((sigma, Presentation(other)))
+        warm_checks = steps = 0
+        for a, b in pairs:
+            shared = len({rule.shape for rule in Rewriter(a)._rules} & {rule.shape for rule in Rewriter(b)._rules})
+            assert shared > 0, (a, b)
+            for _ in range(3):
+                word = Word(rng.choices(self.NAMES, k=rng.randint(1, 5)))
+                _, s = rewriting._encode(word)
+                for cap in (len(s) + 1, None):
+                    expected = reference_expand(a, s, cap)
+                    # the shape memo cold, then filled by b at a smaller cap,
+                    # a larger cap and no cap
+                    for fill in ("cold", len(s), len(s) + 3, None):
+                        clear_successor_cache()
+                        if fill != "cold":
+                            Rewriter.of(b)._expand(s, fill)
+                        rewriter = Rewriter.of(a)
+                        assert resolved(rewriter, rewriter._expand(s, cap)) == expected, (a, b, word, cap, fill)
+                        if fill is None:
+                            # complete matches serve every cap: only a's own shapes run
+                            assert rewriter.kernel_runs == len(rewriter._rules) - shared
+                            warm_checks += 1
+                # certificates are the same text whether or not b filled the memo
+                bounds = SearchBounds(6, 4, 100)
+                clear_successor_cache()
+                reached = sorted(explore(a, word, bounds).words, key=lambda w: w.key)
+                for v in rng.sample(reached, min(2, len(reached))):
+                    texts = []
+                    for fill in (None, SearchBounds(5, 3, 40), SearchBounds(8, 3, 40)):
+                        clear_successor_cache()
+                        if fill is not None:
+                            explore(b, word, fill)
+                        texts.append(format_certificate(derive(a, word, v, bounds)))
+                    assert texts[0] == texts[1] == texts[2], (a, b, word, v)
+                    steps += texts[0].count("step:")
+        assert warm_checks >= 50 and steps >= 100, (warm_checks, steps)
+        clear_successor_cache()
 
     def test_class_and_certificates_follow_word_key_order(self):
         a, b = Variable("x2"), Variable("x10")  # Word.key puts b first
@@ -378,9 +452,15 @@ class TestSuccessorOracle:
         assert chain == [start, Word((b, b, a, a)), Word((b, a, b, a))]
 
 
-def memo_entries(rewriter):
-    """The entries a rewriter's memo counts: one per word, one per successor."""
-    return sum(1 + len(entry.successors) for entry in rewriter._memo.values())
+def memo_entries(holder):
+    """The entries a rewriter's or a shape's memo counts: one per word, one
+    per successor."""
+    return sum(1 + len(entry.successors) for entry in holder._memo.values())
+
+
+def shape_memos():
+    """The shape memos in the registry."""
+    return [holder for holder in rewriting._REGISTRY.values() if isinstance(holder, rewriting._ShapeMemo)]
 
 
 class TestRewriter:
@@ -417,11 +497,16 @@ class TestRewriter:
         # builds the rewriter the SIGMA_E search uses
         commuting = Rewriter.of(SIGMA_E)
         capped.append(explore(SIGMA_E, parse_word("xyxy"), bounds))
-        # one entry per memoised word and one per successor it holds
-        entries = sum(1 + len(entry.successors) for rewriter in (power, commuting) for entry in rewriter._memo.values())
-        assert entries == rewriting._memo_entries <= 5
+        # one entry per memoised word and one per successor it holds, in the
+        # rewriters' memos and the shape memos alike
+        shapes = shape_memos()
+        assert sum(map(memo_entries, shapes)) > 0
+        assert sum(map(memo_entries, (power, commuting, *shapes))) == rewriting._memo_entries <= 5
         assert commuting.misses > 5
         clear_successor_cache()
+        # no memo is left at either level
+        assert not rewriting._REGISTRY and rewriting._memo_entries == 0
+        assert not any(shape._memo for shape in shapes)
         monkeypatch.undo()
         assert capped == [explore(POWER, parse_word("x"), bounds), explore(SIGMA_E, parse_word("xyxy"), bounds)]
 
@@ -460,7 +545,15 @@ class TestRewriter:
         explore(SIGMA_E, parse_word("xyxy"), bounds)
         assert old._memo == kept and rewriting._REGISTRY.get(POWER) is old
         assert recent.memoised == 0 and SIGMA_Y1 not in rewriting._REGISTRY
+        # POWER's shape memos were used before recent, so they left first
+        assert not any(rule.shape in rewriting._REGISTRY for rule in old._rules)
         assert rewriting._memo_entries == sum(map(memo_entries, rewriting._REGISTRY.values()))
+        assert rewriting._memo_entries <= rewriting.MAX_MEMO_ENTRIES
+        # a presentation of those shapes answers as it does in an empty registry
+        renamed = Presentation.of("y = y^3")
+        after_eviction = explore(renamed, parse_word("x"), bounds)
+        clear_successor_cache()
+        assert explore(renamed, parse_word("x"), bounds) == after_eviction
         clear_successor_cache()
 
     def test_evicted_rewriter_memoises_nothing(self):
@@ -472,10 +565,12 @@ class TestRewriter:
             Rewriter.of(Presentation.of(f"x^2 = x^{k}"))
         # eviction empties the memo and takes its entries off the budget count
         assert (evicted.memoised, rewriting._memo_entries) == (0, 0)
-        misses = evicted.misses
+        misses, runs = evicted.misses, evicted.kernel_runs
         _, code = rewriting._encode(parse_word("x"))
         assert "\0" * 3 in [q for q, _link in evicted._successors(code).successors]
-        assert (evicted.misses, evicted.memoised, rewriting._memo_entries) == (misses + 1, 0, 0)
+        # both of its rules run, and neither its memo nor a shape memo is filled
+        assert (evicted.misses, evicted.kernel_runs) == (misses + 1, runs + 2)
+        assert (evicted.memoised, rewriting._memo_entries, shape_memos()) == (0, 0, [])
         clear_successor_cache()
 
     def test_rules_of_one_shape_share_a_kernel(self):
@@ -489,6 +584,27 @@ class TestRewriter:
         # xy = yx and zx = xz differ only in their variables' names
         assert Rewriter(Presentation.of("zx = xz"))._rules[0].kernel is commuting(sl)
         assert rewriting._kernel.cache_info().maxsize is not None
+
+    def test_kernel_runs_skip_shapes_another_rewriter_matched(self):
+        clear_successor_cache()
+        sl = Rewriter.of(Presentation.of("x^2 = x", "xy = yx"))
+        c = Rewriter.of(reference_presentation(BuiltinKind.C))  # {x^2 = x^3, xy = yx}
+        _, s = rewriting._encode(parse_word("x^2y"))
+        sl._successors(s, 3)
+        assert sl.kernel_runs == len(sl._rules) == 3
+        # C shares only xy = yx with SL, so only its two x^2 = x^3 rules run
+        c._successors(s, 3)
+        assert c.kernel_runs == 2
+        c._successors(s, 3)  # a hit runs nothing
+        assert (c.hits, c.kernel_runs) == (1, 2)
+        # with no cap, only the matches that left a successor out run again:
+        # x^2 -> x^3 for C, then x -> x^2 for SL
+        c._successors(s)
+        sl._successors(s)
+        assert (c.kernel_runs, sl.kernel_runs) == (3, 4)
+        for rewriter in (sl, c):
+            assert resolved(rewriter, rewriter._successors(s)) == reference_expand(rewriter.presentation, s, None)
+        clear_successor_cache()
 
     def test_caps_interplay_as_with_a_fresh_registry(self):
         # a memo warmed at one cap answers smaller, larger and uncapped
