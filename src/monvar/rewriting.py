@@ -15,24 +15,24 @@ use the same variable set.  A variable private to one side admits arbitrary
 images, which makes the successor set of a word infinite; such systems are
 rejected with ContentUnbalancedError instead of being silently truncated.
 
-All searches go through one Rewriter per presentation, shared by equal
-presentations through a registry.  A Rewriter holds the compiled rules (both
-orientations), a memo of successor sets and the memo's counters.  Each rule
-runs as a kernel: Python source generated for the rule's shape (its variable
-slots and their runs) and compiled once, which matches by nested loops and
-measures every successor before building it.  A successor longer than the
-length cap is never built; it only marks the entry as capped.
+All searches go through one Rewriter per presentation, which Rewriter.of
+shares between equal presentations.  A Rewriter holds the compiled rules (both
+orientations) and its memo counters.  Each rule runs as a kernel: Python
+source generated for the rule's shape (its variable slots and their runs) and
+compiled once, which matches by nested loops and measures every successor
+before building it.  A successor longer than the length cap is never built;
+it only marks the entry as capped.
 
-Successors are memoised at two levels: a memo per rule shape, shared by every
-presentation with a rule of that shape, holds what its kernel gave each word,
-and a rewriter's memo holds the union of its rules' matches.  An entry holds
-a word's successors within the length cap it was built under, and keeps that
-cap only when a longer successor exists.  An entry that left out nothing is
-complete and serves every cap; a request for a larger cap, or for no cap,
-builds the entry again.  Past its limit on memos or on entries, the registry
-evicts the least recently used memo of either level first.  Internally a
-word is a str with one character per letter, coded in the name order of its
-content, so shortlex order is string order; Word stays the public type, and a
+Successors are memoised in one dict keyed by (owner, word code): a rule
+shape's entry holds what its kernel gave the word, for every presentation
+with a rule of that shape, and a rewriter's the union of its rules' matches.
+An entry holds a word's successors within the length cap it was built under,
+and keeps that cap only when a longer successor exists.  An entry that left
+out nothing is complete and serves every cap; a request for a larger cap, or
+for no cap, builds the entry again.  Past the budget the oldest entry leaves
+first, and a rebuilt entry counts as new.  Internally a word is a str with
+one character per letter, coded in the name order of its content, so
+shortlex order is string order; Word stays the public type, and a
 RewriteStep is built only for a certificate or for one_step_successors.
 
 Every exact operation wraps one search, explore: derive stops it at its target
@@ -50,7 +50,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import groupby
+from itertools import count, groupby
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -504,17 +504,17 @@ def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
 
 
 class _Entry(NamedTuple):
-    """A memo entry: a word's successor codes, each with its link, in
-    shortlex order.  cap is None when they are all there, and an entry
-    serves every cap; otherwise the word has a successor longer than cap,
-    and only those no longer than cap are held."""
+    """A rewriter's memo entry: a word's successor codes, each with its
+    link, in shortlex order.  cap is None when they are all there, and an
+    entry serves every cap; otherwise the word has a successor longer than
+    cap, and only those no longer than cap are held."""
 
     successors: tuple[tuple[str, tuple], ...]
     cap: int | None
 
 
 class _Match(NamedTuple):
-    """A shape memo entry: the successor codes one rule shape gives a word,
+    """A rule shape's memo entry: the successor codes the shape gives a word,
     other than the word itself, with their links in the order found; cap is
     as in _Entry, and limit the length cap it was built under (inf for none)."""
 
@@ -523,12 +523,37 @@ class _Match(NamedTuple):
     limit: float
 
 
-class _ShapeMemo:
-    """One rule shape's _Match of each word code, shared by every rewriter."""
+# Every memo entry lives in _MEMO under (owner, word code): a rewriter's
+# _Entry under its owner number, a rule shape's _Match under the shape.  They
+# count one per word and one per successor held, at most MAX_MEMO_ENTRIES in
+# all; past that the oldest entry (the dict's first) leaves first, and a
+# rebuilt entry counts as new.
+MAX_MEMO_ENTRIES = 1 << 20
+_MAX_REWRITERS = 256
+_MEMO: dict[tuple, _Entry | _Match] = {}
+_memo_entries = 0
+_owners = count()
 
-    def __init__(self):
-        self._memo: dict[str, _Match] = {}
-        self._registered = False
+
+def _memoise(key: tuple, entry: _Entry | _Match) -> None:
+    """Store entry under key as the newest, in place of key's old entry, then
+    evict the oldest entries until the count is within MAX_MEMO_ENTRIES."""
+    global _memo_entries
+    old = _MEMO.pop(key, None)
+    if old is not None:
+        _memo_entries -= 1 + len(old.successors)
+    _MEMO[key] = entry
+    _memo_entries += 1 + len(entry.successors)
+    while _memo_entries > MAX_MEMO_ENTRIES:
+        _memo_entries -= 1 + len(_MEMO.pop(next(iter(_MEMO))).successors)
+
+
+def clear_successor_cache() -> None:
+    """Empty the memo and drop every shared rewriter."""
+    global _memo_entries
+    _MEMO.clear()
+    _memo_entries = 0
+    Rewriter.of.cache_clear()
 
 
 def _step(rules: dict[tuple, _Rule], alphabet: tuple[Variable, ...], source: str, link: tuple) -> RewriteStep:
@@ -541,22 +566,22 @@ def _step(rules: dict[tuple, _Rule], alphabet: tuple[Variable, ...], source: str
 
 
 class Rewriter:
-    """The rewriting engine of one presentation: its compiled rules, its
-    successor memo and the memo's counters.
+    """The rewriting engine of one presentation: its compiled rules and its
+    memo counters.
 
     Get it with Rewriter.of(sigma), which returns one shared instance for all
-    equal presentations and marks it as the most recently used.  Each rule
-    carries the kernel compiled for its shape, shared by every rule of that
-    shape in any presentation; a kernel computes each match's successor
-    length first and builds only the successors within the cap.
+    equal presentations and keeps the _MAX_REWRITERS most recently used.
+    Each rule carries the kernel compiled for its shape, shared by every rule
+    of that shape in any presentation; a kernel computes each match's
+    successor length first and builds only the successors within the cap.
 
-    The memo maps a word code to an _Entry, the union of the _Matches its
-    rules' shape memos hold: its successor codes within the length cap it
-    was built under, in shortlex order, each with a link (prefix end, suffix
-    start, rule shape, images) from which the RewriteStep is built on demand
-    through this rewriter's rule of that shape, and that cap if a longer
-    successor exists (measured, never built), else None.  Neither an evicted
-    rewriter nor a Rewriter(sigma) built directly uses a memo of either level.
+    Its memo entries, keyed by its own owner number and a word code, are
+    _Entries, each the union of the _Matches its rules' shapes hold for the
+    word: its successor codes within the length cap it was built under, in
+    shortlex order, each with a link (prefix end, suffix start, rule shape,
+    images) from which the RewriteStep is built on demand through this
+    rewriter's rule of that shape, and that cap if a longer successor exists
+    (measured, never built), else None.
     """
 
     def __init__(self, sigma: Presentation):
@@ -564,19 +589,17 @@ class Rewriter:
         self.presentation = sigma
         self._rules = _compile(sigma)
         self._rule_of = {rule.shape: rule for rule in self._rules}
-        self._memo: dict[str, _Entry] = {}
-        self._registered = False
+        self._owner = next(_owners)
         self._calls = 0
         self._misses = 0
         self._kernel_runs = 0
 
     @classmethod
+    @lru_cache(maxsize=_MAX_REWRITERS)
     def of(cls, sigma: Presentation) -> "Rewriter":
         """The shared rewriter of sigma; raises ContentUnbalancedError for a
         system that is not content-balanced."""
-        rewriter = _REGISTRY.pop(sigma, None) or cls(sigma)
-        _register(sigma, rewriter)
-        return rewriter
+        return cls(sigma)
 
     @property
     def calls(self) -> int:
@@ -594,13 +617,8 @@ class Rewriter:
         return self._misses
 
     @property
-    def memoised(self) -> int:
-        """Words whose successors the memo holds now."""
-        return len(self._memo)
-
-    @property
     def kernel_runs(self) -> int:
-        """Rule kernels run for misses, not counting matches a shape memo held."""
+        """Rule kernels run for misses, not counting matches the memo held."""
         return self._kernel_runs
 
     def _successors(self, s: str, cap: int | None = None) -> _Entry:
@@ -609,14 +627,12 @@ class Rewriter:
         cap is None.  An entry that left out successors the request wants is
         expanded again, which counts as a miss."""
         self._calls += 1
-        entry = self._memo.get(s)
+        key = (self._owner, s)
+        entry = _MEMO.get(key)
         if entry is None or entry.cap is not None and (cap is None or cap > entry.cap):
             self._misses += 1
-            if entry is not None:
-                _release(self, s)
             entry = self._expand(s, cap)
-            if _admit(self, 1 + len(entry.successors)):
-                self._memo[s] = entry
+            _memoise(key, entry)
         return entry
 
     def _expand(self, s: str, cap: int | None) -> _Entry:
@@ -647,84 +663,19 @@ class Rewriter:
 
     def _match(self, rule: _Rule, s: str, cap: int | None, limit: float) -> _Match:
         """The _Match of rule's shape for s within cap (limit is cap as a
-        number), from the shape memo while this rewriter is registered; one
-        that left out successors the request wants is rebuilt."""
-        memo = None
-        if self._registered:
-            memo = _REGISTRY.pop(rule.shape, None) or _ShapeMemo()
-            _register(rule.shape, memo)
-            match = memo._memo.get(s)
-            if match is not None:
-                if match.cap is None or cap is not None and cap <= match.cap:
-                    return match
-                _release(memo, s)
+        number), from the memo; one that left out successors the request
+        wants is rebuilt."""
+        key = (rule.shape, s)
+        match = _MEMO.get(key)
+        if match is not None and (match.cap is None or cap is not None and cap <= match.cap):
+            return match
         self._kernel_runs += 1
         found: dict[str, tuple] = {s: ()}  # so the kernel skips s
         over = rule.kernel(s, limit, found, rule.shape, False)
         del found[s]
         match = _Match(found, cap if over else None, limit)
-        if memo is not None and _admit(memo, 1 + len(found)):
-            memo._memo[s] = match
+        _memoise(key, match)
         return match
-
-
-# The registry shares one Rewriter between equal presentations, and one
-# _ShapeMemo between rules of one shape.  It holds at most _MAX_REWRITERS of
-# the two, and all their memos together hold at most MAX_MEMO_ENTRIES entries,
-# one per memoised word and one per successor it holds.  An entry rebuilt for
-# a larger cap replaces the old one in the count.  Both limits keep one rule:
-# _evict takes out the least recently used (the dict's first) and empties its
-# memo, and one that has left the registry memoises nothing.
-MAX_MEMO_ENTRIES = 1 << 20
-_MAX_REWRITERS = 256
-_REGISTRY: dict[Presentation | tuple, Rewriter | _ShapeMemo] = {}
-_memo_entries = 0
-
-
-def _register(key: Presentation | tuple, holder: Rewriter | _ShapeMemo) -> None:
-    """Make holder key's entry and the most recently used, within the limit."""
-    holder._registered = True
-    _REGISTRY[key] = holder
-    if len(_REGISTRY) > _MAX_REWRITERS:
-        _evict(next(iter(_REGISTRY)))
-
-
-def _evict(key: Presentation | tuple) -> Rewriter | _ShapeMemo:
-    """Take key's rewriter or shape memo out of the registry, empty its memo,
-    take its entries off the count and return it."""
-    global _memo_entries
-    holder = _REGISTRY.pop(key)
-    _memo_entries -= sum(1 + len(entry.successors) for entry in holder._memo.values())
-    holder._memo.clear()
-    holder._registered = False
-    return holder
-
-
-def _admit(holder: Rewriter | _ShapeMemo, entries: int) -> bool:
-    """Whether holder may memoise a word holding entries - 1 successors,
-    whose entries are then counted.  Least recently used memos are evicted
-    until the entries fit, and holder itself may be one of them."""
-    global _memo_entries
-    if not holder._registered or entries > MAX_MEMO_ENTRIES:
-        return False
-    while _memo_entries + entries > MAX_MEMO_ENTRIES:
-        if _evict(next(iter(_REGISTRY))) is holder:
-            return False
-    _memo_entries += entries
-    return True
-
-
-def _release(holder: Rewriter | _ShapeMemo, s: str) -> None:
-    """Take the memo entry of s out of holder's memo and off the count."""
-    global _memo_entries
-    _memo_entries -= 1 + len(holder._memo.pop(s).successors)
-
-
-def clear_successor_cache() -> None:
-    """Evict every rewriter and shape memo, which empties the registry and
-    every memo at both levels."""
-    for key in list(_REGISTRY):
-        _evict(key)
 
 
 def match_pattern(pattern: Word, target: Word) -> set[Substitution]:

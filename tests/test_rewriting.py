@@ -257,6 +257,40 @@ def resolved(rewriter, entry):
     return successors, entry.cap
 
 
+def reference_explore(sigma, start, bounds, stop_at=None):
+    """The parents and saturation explore must give: breadth-first search
+    with every level and successor list sorted by Word.key, each successor
+    admitted unless seen, longer than the length cap or past the state cap,
+    stopping once stop_at is admitted."""
+    parents = {start: None}
+    frontier = [start]
+    pruned = False
+    for _ in range(bounds.max_depth):
+        reached = []
+        for p in frontier:
+            for q, step in sorted(one_step_successors(p, sigma).items(), key=lambda item: item[0].key):
+                if q in parents:
+                    continue
+                if len(q) > bounds.max_word_length or len(parents) >= bounds.max_states:
+                    pruned = True
+                    continue
+                parents[q] = (p, step)
+                reached.append(q)
+                if q == stop_at:
+                    return parents, False
+        frontier = sorted(reached, key=lambda w: w.key)
+    return parents, not frontier and not pruned
+
+
+def reference_certificate(parents, start, target):
+    steps = []
+    cursor = target
+    while parents[cursor] is not None:
+        cursor, step = parents[cursor]
+        steps.append(step)
+    return DerivationCertificate(start, tuple(reversed(steps)))
+
+
 class TestSuccessorOracle:
     # x2 and x10 sort as "x10" < "x2", unlike their indices
     NAMES = (Variable("x2"), Variable("x10"), Variable("y"))
@@ -309,13 +343,15 @@ class TestSuccessorOracle:
         systems = self.fixed_and_seeded_systems(rng)
         overflowed = 0
         for sigma in systems:
-            rewriter = Rewriter(sigma)  # not shared, so every call expands afresh
+            rewriter = Rewriter(sigma)
             for _ in range(4):
                 _, s = rewriting._encode(Word(rng.choices(self.NAMES, k=rng.randint(0, 5))))
+                clear_successor_cache()  # so every request below expands afresh
                 everything = rewriter._successors(s)
                 assert everything.cap is None
                 for cap in range(1, len(s) + 4):
                     limit = max(cap, len(s))
+                    clear_successor_cache()
                     entry = rewriter._successors(s, limit)
                     # same codes in the same order, each with its uncapped link
                     within = [(q, link) for q, link in everything.successors if len(q) <= limit]
@@ -359,6 +395,7 @@ class TestSuccessorOracle:
             rewriter = Rewriter(sigma)
             _, s = rewriting._encode(word)
             for cap in [*range(max(1, len(s)), len(s) + 4), None]:
+                clear_successor_cache()  # so every kernel runs
                 entry = rewriter._expand(s, cap)
                 # codes, order and links (rule and images included) and the kept cap
                 assert resolved(rewriter, entry) == reference_expand(sigma, s, cap), (sigma, word, cap)
@@ -420,47 +457,80 @@ class TestSuccessorOracle:
         assert warm_checks >= 50 and steps >= 100, (warm_checks, steps)
         clear_successor_cache()
 
+    def test_answers_do_not_depend_on_the_memo_budget(self, monkeypatch):
+        # seeded queries answer alike with the default budget and with room
+        # for 5 or 64 entries, and the count stays exact and within the cap
+        rng = random.Random(9157)
+        queries = []
+        for sigma in [POWER, SIGMA_E, *(self.random_system(rng) for _ in range(16))]:
+            for _ in range(2):
+                u = Word(rng.choices(self.NAMES, k=rng.randint(1, 5)))
+                bounds = SearchBounds(7, 4, 60)
+                reached = sorted(explore(sigma, u, bounds).words, key=lambda w: w.key)
+                queries.append(lambda sigma=sigma, u=u: list(one_step_successors(u, sigma).items()))
+                queries.append(lambda sigma=sigma, u=u, b=bounds: explore(sigma, u, b).words)
+                queries.append(lambda sigma=sigma, u=u, b=bounds: explore(sigma, u, b).saturated)
+                for v in rng.sample(reached, min(2, len(reached))):
+                    queries.append(lambda sigma=sigma, u=u, v=v, b=bounds: format_certificate(derive(sigma, u, v, b)))
+                for candidate in ({u}, set(reached), set(reached[: len(reached) // 2 + 1]) | {u}):
+                    queries.append(lambda sigma=sigma, u=u, c=candidate: class_closure_verify(c, u, sigma))
+        clear_successor_cache()
+        expected = [query() for query in queries]
+        verdicts = {type(answer) for answer in expected}
+        assert {ExactClass, NotClosed} <= verdicts and len(queries) >= 250, (verdicts, len(queries))
+        for budget in (5, 64):
+            clear_successor_cache()
+            monkeypatch.setattr(rewriting, "MAX_MEMO_ENTRIES", budget)
+            for query, answer in zip(queries, expected):
+                assert query() == answer, budget
+                assert memo_entries() == rewriting._memo_entries <= budget
+        clear_successor_cache()
+
     def test_class_and_certificates_follow_word_key_order(self):
         a, b = Variable("x2"), Variable("x10")  # Word.key puts b first
         sigma = Presentation.of("xy = yx")
         start = Word((a, a, b, b))
         exploration = explore(sigma, start, SearchBounds(4, 8))
-        # reference breadth-first search, every level and successor list
-        # sorted by Word.key
-        parents = {start: None}
-        frontier = [start]
-        while frontier:
-            reached = []
-            for p in frontier:
-                for q, step in sorted(one_step_successors(p, sigma).items(), key=lambda item: item[0].key):
-                    if q not in parents:
-                        parents[q] = (p, step)
-                        reached.append(q)
-            frontier = sorted(reached, key=lambda w: w.key)
+        parents, saturated = reference_explore(sigma, start, SearchBounds(4, 8))
         enumeration = enumerate_class(start, sigma, SearchBounds(4, 8))
-        assert enumeration.complete and enumeration.words == exploration.words == set(parents)
+        assert saturated and enumeration.complete and enumeration.words == exploration.words == set(parents)
         for target in parents:
-            steps = []
-            cursor = target
-            while parents[cursor] is not None:
-                cursor, step = parents[cursor]
-                steps.append(step)
-            assert exploration.certificate_to(target) == DerivationCertificate(start, tuple(reversed(steps)))
+            assert exploration.certificate_to(target) == reference_certificate(parents, start, target)
         # baba is first reached from bbaa, the least of its parents by Word.key;
         # ordering x2 before x10 would pick abab instead
         chain = exploration.certificate_to(Word((b, a, b, a))).words(sigma)
         assert chain == [start, Word((b, b, a, a)), Word((b, a, b, a))]
 
+    def test_state_cap_admits_successors_in_word_key_order(self):
+        # when the state cap binds, the words admitted are the first in
+        # breadth-first Word.key order, and so are their certificates
+        rng = random.Random(3307)
+        capped = 0
+        for _ in range(30):
+            sigma = self.random_system(rng)
+            start = Word(rng.choices(self.NAMES, k=rng.randint(1, 5)))
+            reached = sorted(explore(sigma, start, SearchBounds(7, 4, 60)).words, key=lambda w: w.key)
+            for stop_at in [None, *rng.sample(reached, min(2, len(reached)))]:
+                for max_states in range(1, 9):
+                    bounds = SearchBounds(7, 4, max_states)
+                    exploration = explore(sigma, start, bounds, stop_at)
+                    parents, saturated = reference_explore(sigma, start, bounds, stop_at)
+                    assert (exploration.words, exploration.saturated) == (set(parents), saturated), (sigma, start)
+                    for target in parents:
+                        expected = reference_certificate(parents, start, target)
+                        assert exploration.certificate_to(target) == expected, (sigma, start, stop_at, max_states)
+                    capped += len(parents) == max_states < len(reached)
+        assert capped >= 100, capped
 
-def memo_entries(holder):
-    """The entries a rewriter's or a shape's memo counts: one per word, one
-    per successor."""
-    return sum(1 + len(entry.successors) for entry in holder._memo.values())
+
+def memo_entries():
+    """The entries the memo counts: one per word, one per successor."""
+    return sum(1 + len(entry.successors) for entry in rewriting._MEMO.values())
 
 
-def shape_memos():
-    """The shape memos in the registry."""
-    return [holder for holder in rewriting._REGISTRY.values() if isinstance(holder, rewriting._ShapeMemo)]
+def memoised(rewriter):
+    """The words whose successors the memo holds for rewriter."""
+    return sum(owner == rewriter._owner for owner, _ in rewriting._MEMO)
 
 
 class TestRewriter:
@@ -477,13 +547,13 @@ class TestRewriter:
     def test_counters(self):
         clear_successor_cache()
         rewriter = Rewriter.of(SIGMA_X1)
-        assert (rewriter.calls, rewriter.hits, rewriter.misses, rewriter.memoised) == (0, 0, 0, 0)
+        assert (rewriter.calls, rewriter.hits, rewriter.misses, memoised(rewriter)) == (0, 0, 0, 0)
         first = explore(SIGMA_X1, parse_word("xyxyx"))
         # a saturated closure expands each of its words once
         assert first.saturated and len(first.parents) == 2
-        assert (rewriter.calls, rewriter.hits, rewriter.misses, rewriter.memoised) == (2, 0, 2, 2)
+        assert (rewriter.calls, rewriter.hits, rewriter.misses, memoised(rewriter)) == (2, 0, 2, 2)
         explore(SIGMA_X1, parse_word("xyxyx"))
-        assert (rewriter.calls, rewriter.hits, rewriter.misses, rewriter.memoised) == (4, 2, 2, 2)
+        assert (rewriter.calls, rewriter.hits, rewriter.misses, memoised(rewriter)) == (4, 2, 2, 2)
         assert isoterm_exact(parse_word("yxyxx"), SIGMA_X1) is False
         assert (rewriter.calls, rewriter.hits, rewriter.misses) == (5, 3, 2)
 
@@ -491,27 +561,21 @@ class TestRewriter:
         clear_successor_cache()
         monkeypatch.setattr(rewriting, "MAX_MEMO_ENTRIES", 5)
         bounds = SearchBounds(8, 8)
-        power = Rewriter.of(POWER)
         capped = [explore(POWER, parse_word("x"), bounds)]
-        # the POWER search evicts every rewriter to fit its entries, so this
-        # builds the rewriter the SIGMA_E search uses
-        commuting = Rewriter.of(SIGMA_E)
+        # one entry per memoised word and one per successor it holds, for
+        # rewriters and rule shapes alike, all within the one budget
+        assert memo_entries() == rewriting._memo_entries <= 5
         capped.append(explore(SIGMA_E, parse_word("xyxy"), bounds))
-        # one entry per memoised word and one per successor it holds, in the
-        # rewriters' memos and the shape memos alike
-        shapes = shape_memos()
-        assert sum(map(memo_entries, shapes)) > 0
-        assert sum(map(memo_entries, (power, commuting, *shapes))) == rewriting._memo_entries <= 5
-        assert commuting.misses > 5
+        assert memo_entries() == rewriting._memo_entries <= 5
+        assert Rewriter.of(SIGMA_E).misses > 5
         clear_successor_cache()
-        # no memo is left at either level
-        assert not rewriting._REGISTRY and rewriting._memo_entries == 0
-        assert not any(shape._memo for shape in shapes)
+        assert not rewriting._MEMO and rewriting._memo_entries == 0
         monkeypatch.undo()
         assert capped == [explore(POWER, parse_word("x"), bounds), explore(SIGMA_E, parse_word("xyxy"), bounds)]
 
     def test_registry_drops_its_oldest_rewriter(self):
         clear_successor_cache()
+        assert Rewriter.of.cache_info().maxsize == rewriting._MAX_REWRITERS
         first = Rewriter.of(Presentation.of("x = x^2"))
         for k in range(3, 3 + rewriting._MAX_REWRITERS):
             Rewriter.of(Presentation.of(f"x = x^{k}"))
@@ -528,49 +592,48 @@ class TestRewriter:
         assert Rewriter.of(Presentation.of("x = x^3")) is not second
         clear_successor_cache()
 
-    def test_memo_budget_evicts_the_least_recently_used_rewriter(self, monkeypatch):
+    def test_memo_budget_evicts_the_oldest_entries(self, monkeypatch):
         bounds = SearchBounds(8, 8)
         clear_successor_cache()
-        explore(SIGMA_E, parse_word("xyxy"), bounds)
-        third = rewriting._memo_entries  # what the third search memoises alone
-        clear_successor_cache()
-        old, recent = Rewriter.of(POWER), Rewriter.of(SIGMA_Y1)
         explore(POWER, parse_word("x"), bounds)
         explore(SIGMA_Y1, parse_word("xyxyx"), bounds)
-        kept = dict(old._memo)
-        assert kept and recent.memoised > 0
-        assert Rewriter.of(POWER) is old  # now the most recently used
-        # room for old's entries and the third search's, but not recent's too
-        monkeypatch.setattr(rewriting, "MAX_MEMO_ENTRIES", memo_entries(old) + third)
-        explore(SIGMA_E, parse_word("xyxy"), bounds)
-        assert old._memo == kept and rewriting._REGISTRY.get(POWER) is old
-        assert recent.memoised == 0 and SIGMA_Y1 not in rewriting._REGISTRY
-        # POWER's shape memos were used before recent, so they left first
-        assert not any(rule.shape in rewriting._REGISTRY for rule in old._rules)
-        assert rewriting._memo_entries == sum(map(memo_entries, rewriting._REGISTRY.values()))
-        assert rewriting._memo_entries <= rewriting.MAX_MEMO_ENTRIES
-        # a presentation of those shapes answers as it does in an empty registry
-        renamed = Presentation.of("y = y^3")
-        after_eviction = explore(renamed, parse_word("x"), bounds)
-        clear_successor_cache()
-        assert explore(renamed, parse_word("x"), bounds) == after_eviction
+        before = list(rewriting._MEMO)
+        power = Rewriter.of(POWER)
+        grow = power._rules[0]  # x -> x^3
+        _, s = rewriting._encode(parse_word("x^7"))
+        # x^9 was left out of x^7's entry and of its x -> x^3 match
+        assert rewriting._MEMO[power._owner, s].cap == rewriting._MEMO[grow.shape, s].cap == 8
+        # with no room to spare, rebuilding them with no cap makes them the
+        # newest entries, and the oldest leave to make room
+        monkeypatch.setattr(rewriting, "MAX_MEMO_ENTRIES", rewriting._memo_entries)
+        power._successors(s)
+        rebuilt = [(grow.shape, s), (power._owner, s)]
+        after = list(rewriting._MEMO)
+        assert after[-2:] == rebuilt and rewriting._MEMO[power._owner, s].cap is None
+        rest = [key for key in before if key not in rebuilt]
+        assert 0 < len(rest) - len(after[:-2]) and after[:-2] == rest[len(rest) - len(after[:-2]) :]
+        assert memo_entries() == rewriting._memo_entries <= rewriting.MAX_MEMO_ENTRIES
         clear_successor_cache()
 
-    def test_evicted_rewriter_memoises_nothing(self):
+    def test_dropping_a_rewriter_evicts_no_memo_entry(self):
         clear_successor_cache()
-        evicted = Rewriter.of(POWER)
-        explore(POWER, parse_word("x"), SearchBounds(8, 8))
-        assert evicted.memoised > 0 and rewriting._memo_entries > 0
+        bounds = SearchBounds(8, 8)
+        dropped = Rewriter.of(POWER)
+        explore(POWER, parse_word("x"), bounds)
+        entries = rewriting._memo_entries
         for k in range(3, 3 + rewriting._MAX_REWRITERS):
             Rewriter.of(Presentation.of(f"x^2 = x^{k}"))
-        # eviction empties the memo and takes its entries off the budget count
-        assert (evicted.memoised, rewriting._memo_entries) == (0, 0)
-        misses, runs = evicted.misses, evicted.kernel_runs
+        renewed = Rewriter.of(POWER)
+        assert renewed is not dropped and rewriting._memo_entries == entries
+        # the new rewriter reads none of the dropped one's entries, but every
+        # match of its rules' shapes is still memoised, so it runs no kernel
+        explore(POWER, parse_word("x"), bounds)
+        assert (renewed.misses, renewed.kernel_runs) == (dropped.misses, 0)
+        # the dropped rewriter is still served from its own entries
+        misses = dropped.misses
         _, code = rewriting._encode(parse_word("x"))
-        assert "\0" * 3 in [q for q, _link in evicted._successors(code).successors]
-        # both of its rules run, and neither its memo nor a shape memo is filled
-        assert (evicted.misses, evicted.kernel_runs) == (misses + 1, runs + 2)
-        assert (evicted.memoised, rewriting._memo_entries, shape_memos()) == (0, 0, [])
+        assert "\0" * 3 in [q for q, _link in dropped._successors(code, 8).successors]
+        assert dropped.misses == misses
         clear_successor_cache()
 
     def test_rules_of_one_shape_share_a_kernel(self):
