@@ -20,7 +20,6 @@ from .words import (
     ini,
     occ,
     parse_word,
-    reverse,
 )
 from .rewriting import (
     CertificateCheck,
@@ -74,7 +73,6 @@ from .scenarios import (
     Report,
     SCENARIO_NAMES,
     ShapedIdentity,
-    balance_identity,
     find_shaped_identity,
     run_scenario,
 )

@@ -45,7 +45,8 @@ class LatticeError(ValueError):
     pass
 
 
-# build_lattice and product refuse larger lattices before any n x n allocation.
+# build_lattice and product refuse larger lattices before any n x n allocation,
+# and the meet and join tables hold element indices as int16.
 MAX_ELEMENTS = 1024
 # Most entries held by any temporary array of the bound and property kernels.
 _BLOCK = 1 << 18
@@ -149,7 +150,7 @@ def _glb_table(order: np.ndarray, labels: tuple[str, ...], kind: str) -> np.ndar
     lower bound lies below it and no other above.  Errors name the first bad pair."""
     below = np.ascontiguousarray(order.T)  # below[a, b] = (b <= a)
     down_size = below.sum(axis=1)
-    table = np.empty(below.shape, dtype=np.int64)
+    table = np.empty(below.shape, dtype=np.int16)  # every index is below MAX_ELEMENTS
     for a, c in _blocks(len(labels)):
         common = below[a, None, :] & below[None, c, :]
         best = np.where(common, down_size, -1).argmax(axis=2)

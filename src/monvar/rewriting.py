@@ -26,10 +26,15 @@ it only marks the entry as capped.
 Successors are memoised in one dict keyed by (owner, word code): a rule
 shape's entry holds what its kernel gave the word, for every presentation
 with a rule of that shape, and a rewriter's the union of its rules' matches.
-An entry holds a word's successors within the length cap it was built under,
-and keeps that cap only when a longer successor exists.  An entry that left
-out nothing is complete and serves every cap; a request for a larger cap, or
-for no cap, builds the entry again.  Past the budget the oldest entry leaves
+Rewriting commutes with renaming letters, so shape entries are keyed by the
+word's first-occurrence renaming (its k-th distinct letter becomes chr(k)),
+and one serves every word with that renaming; a successor's link records
+each variable's image length, not its text, so it holds for every renaming
+too, and a RewriteStep reads the images back out of its source.  An entry
+holds a word's successors within the length cap it was built under, and
+keeps that cap only when a longer successor exists.  An entry that left out
+nothing is complete and serves every cap; a request for a larger cap, or for
+no cap, builds the entry again.  Past the budget the oldest entry leaves
 first, and a rebuilt entry counts as new.  Internally a word is a str with
 one character per letter, coded in the name order of its content, so
 shortlex order is string order; Word stays the public type, and a
@@ -336,6 +341,17 @@ def _pattern(letters: tuple[Variable, ...]) -> tuple[tuple, tuple[Variable, ...]
     return tuple(runs), tuple(slots)
 
 
+def _images(runs: tuple, s: str, i: int, lengths: tuple[int, ...]) -> list[str]:
+    """The images, by slot, of a match of the pattern runs at s[i:] whose
+    images have the given lengths."""
+    images = []
+    for slot, repeat, first, _ in runs:
+        if first:
+            images.append(s[i : i + lengths[slot]])
+        i += repeat * lengths[slot]
+    return images
+
+
 # Rule kernels.  A rule's matcher is generated as Python source and compiled
 # once per shape: the runs of its rewritten side and the slot runs of its
 # replacing side, so rules that differ only in their variables' names share
@@ -370,11 +386,13 @@ def _kernel(runs: tuple, dst: tuple | None):
     s[i:end] it first computes the successor's length, n plus each slot's
     (dst count - src count) times its image length.  A successor within
     limit is built and, if new to found, recorded as found[q] = (i, end,
-    shape, images); a longer one is never built and only sets the returned
-    flag.  A loop skips the empty image of a variable whose other letters
-    read alike on both sides, since every such binding rewrites s to itself:
-    the caller records s before any kernel runs.  Without dst it is
-    kernel(s) -> the images of every match of the whole of s.
+    shape, lengths), with each slot's image length rather than its text, so
+    that one record serves every renaming of s's letters; _images slices the
+    images back out of s.  A longer one is never built and only sets the
+    returned flag.  A loop skips the empty image of a variable whose other
+    letters read alike on both sides, since every such binding rewrites s to
+    itself: the caller records s before any kernel runs.  Without dst it is
+    kernel(s) -> the image lengths of every match of the whole of s.
     """
     levels: list[tuple[int, list[tuple[int, int]]]] = []  # per slot: first repeat, later runs
     occurrences: list[int] = []
@@ -399,7 +417,7 @@ def _kernel(runs: tuple, dst: tuple | None):
         for j, r in dst:
             growth[j] += r
         src = [(slot, repeat) for slot, repeat, _, _ in runs]
-    images = ", ".join(f"v{j}" for j in range(m)) + ("," if m == 1 else "")
+    lengths = ", ".join(f"l{j}" for j in range(m)) + ("," if m == 1 else "")
     lines: list[str] = []
 
     def emit(depth: int, text: str) -> None:
@@ -461,10 +479,10 @@ def _kernel(runs: tuple, dst: tuple | None):
             parts = "".join(f"{_times(f'v{j}', r)}, " for j, r in dst)
             emit(depth, f'q = "".join((h, {parts}s[a{m}:]))')
             emit(depth, "if q not in found:")
-            emit(depth + 1, f"found[q] = (i, a{m}, shape, ({images}))")
+            emit(depth + 1, f"found[q] = (i, a{m}, shape, ({lengths}))")
         else:
             emit(depth, f"if a{m} == n:")
-            emit(depth + 1, f"out.append(({images}))")
+            emit(depth + 1, f"out.append(({lengths}))")
         if expand:
             emit(1, "return over")
         elif c == 0:
@@ -507,20 +525,22 @@ class _Entry(NamedTuple):
     """A rewriter's memo entry: a word's successor codes, each with its
     link, in shortlex order.  cap is None when they are all there, and an
     entry serves every cap; otherwise the word has a successor longer than
-    cap, and only those no longer than cap are held."""
+    cap, and only those no longer than cap are held.  A link is (prefix end,
+    suffix start, rule shape, image lengths by slot)."""
 
     successors: tuple[tuple[str, tuple], ...]
     cap: int | None
 
 
 class _Match(NamedTuple):
-    """A rule shape's memo entry: the successor codes the shape gives a word,
-    other than the word itself, with their links in the order found; cap is
-    as in _Entry, and limit the length cap it was built under (inf for none)."""
+    """A rule shape's memo entry for a word code renamed by first occurrence
+    (see Rewriter._expand): the successor codes the shape gives it, other
+    than the code itself, with their links in the order found, and cap as in
+    _Entry.  A complete match built under a larger cap than a request's may
+    hold successors longer than the request's cap."""
 
     successors: dict[str, tuple]
     cap: int | None
-    limit: float
 
 
 # Every memo entry lives in _MEMO under (owner, word code): a rewriter's
@@ -558,8 +578,9 @@ def clear_successor_cache() -> None:
 
 def _step(rules: dict[tuple, _Rule], alphabet: tuple[Variable, ...], source: str, link: tuple) -> RewriteStep:
     """The RewriteStep behind a memoised successor link of the code source."""
-    i, end, shape, images = link
+    i, end, shape, lengths = link
     rule = rules[shape]  # the presentation's rule of the link's shape
+    images = _images(shape[0], source, i, lengths)
     subst = Substitution({v: _word(alphabet, image) for v, image in zip(rule.variables, images)})
     prefix, suffix = _word(alphabet, source[:i]), _word(alphabet, source[end:])
     return RewriteStep(prefix, suffix, rule.identity_index, rule.forward, subst)
@@ -577,11 +598,13 @@ class Rewriter:
 
     Its memo entries, keyed by its own owner number and a word code, are
     _Entries, each the union of the _Matches its rules' shapes hold for the
-    word: its successor codes within the length cap it was built under, in
+    word's first-occurrence renaming, renamed back to the word's letters:
+    its successor codes within the length cap it was built under, in
     shortlex order, each with a link (prefix end, suffix start, rule shape,
-    images) from which the RewriteStep is built on demand through this
-    rewriter's rule of that shape, and that cap if a longer successor exists
-    (measured, never built), else None.
+    image lengths) from which the RewriteStep is built on demand through
+    this rewriter's rule of that shape, slicing each image out of the word,
+    and that cap if a longer successor exists (measured, never built), else
+    None.
     """
 
     def __init__(self, sigma: Presentation):
@@ -643,23 +666,28 @@ class Rewriter:
         # giving q is len(q) long, so a cap never changes which link is
         # first.  s gets the first rule's link at prefix 0 with every image
         # empty, so kernels may skip bindings that only give s again.
+        # Rewriting commutes with renaming letters, and a link holds image
+        # lengths, not images, so the rules match c, s with its k-th distinct
+        # letter renamed chr(k), and their successors are renamed back: every
+        # word that renames to c shares c's shape matches.
+        letters = "".join(dict.fromkeys(s))
+        c = s.translate({ord(a): k for k, a in enumerate(letters)})
         limit = math.inf if cap is None else cap
         found: dict[str, tuple] = {}
-        wider, overflow = False, False
+        overflow = False
         for rule in reversed(self._rules):
-            match = self._match(rule, s, cap, limit)
+            match = self._match(rule, c, cap, limit)
             found.update(match.successors)
-            wider = wider or match.limit > limit
             overflow = overflow or match.cap is not None
         if self._rules:
             first = self._rules[0]
-            found[s] = (0, 0, first.shape, ("",) * len(first.variables))
-        order = list(found)
-        if wider:  # a match built for a larger cap may hold longer successors
-            order = [q for q in order if len(q) <= limit]
-            overflow = overflow or len(order) < len(found)
+            found[c] = (0, 0, first.shape, (0,) * len(first.variables))
+        # a match built for a larger cap may hold longer successors
+        renamed = {q.translate(letters): link for q, link in found.items() if len(q) <= limit}
+        overflow = overflow or len(renamed) < len(found)
+        order = list(renamed)
         _shortlex_sort(order)
-        return _Entry(tuple([(q, found[q]) for q in order]), cap if overflow else None)
+        return _Entry(tuple([(q, renamed[q]) for q in order]), cap if overflow else None)
 
     def _match(self, rule: _Rule, s: str, cap: int | None, limit: float) -> _Match:
         """The _Match of rule's shape for s within cap (limit is cap as a
@@ -673,7 +701,7 @@ class Rewriter:
         found: dict[str, tuple] = {s: ()}  # so the kernel skips s
         over = rule.kernel(s, limit, found, rule.shape, False)
         del found[s]
-        match = _Match(found, cap if over else None, limit)
+        match = _Match(found, cap if over else None)
         _memoise(key, match)
         return match
 
@@ -683,8 +711,8 @@ def match_pattern(pattern: Word, target: Word) -> set[Substitution]:
     runs, variables = _pattern(pattern.letters)
     alphabet, s = _encode(target)
     return {
-        Substitution({v: _word(alphabet, image) for v, image in zip(variables, images)})
-        for images in _kernel(runs, None)(s)
+        Substitution({v: _word(alphabet, image) for v, image in zip(variables, _images(runs, s, 0, lengths))})
+        for lengths in _kernel(runs, None)(s)
     }
 
 

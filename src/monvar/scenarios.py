@@ -72,7 +72,6 @@ __all__ = [
     "Report",
     "ShapedIdentity",
     "SCENARIO_NAMES",
-    "balance_identity",
     "find_shaped_identity",
     "run_scenario",
     "E_PRESENTATION",
@@ -202,40 +201,6 @@ def _derivation_check(
     report.add(description, ok, evidence)
     if cert is not None:
         report.artifacts.append((sigma, cert))
-
-
-def balance_identity(u1: Word, v1: Word) -> Identity:
-    """Balance a two-variable identity so both sides use x and y equally often.
-
-    Append x^(occ_x(v1)+1) y^(occ_y(v1)+1) to u1 and x^(occ_x(u1)+1)
-    y^(occ_y(u1)+1) to v1, which already equalises the counts across the two
-    sides, then pad both sides on the left with x or y until the x-count and
-    the y-count agree.  The result is a consequence of u1 = v1 together with
-    the two power identities x^(occ_x(u1)+1) = x^(occ_x(v1)+1) and
-    x^(occ_y(u1)+1) = x^(occ_y(v1)+1).
-    """
-    x, y = Variable("x"), Variable("y")
-    xw, yw = Word((x,)), Word((y,))
-    if content(u1) != frozenset((x, y)) or content(v1) != frozenset((x, y)):
-        raise ValueError("both sides must have content exactly {x, y}")
-    if u1 == v1:
-        raise ValueError("the input identity is trivial")
-    ux, uy = occ(u1, x), occ(u1, y)
-    vx, vy = occ(v1, x), occ(v1, y)
-    left = u1 * xw ** (vx + 1) * yw ** (vy + 1)
-    right = v1 * xw ** (ux + 1) * yw ** (uy + 1)
-    count_x = ux + vx + 1
-    count_y = uy + vy + 1
-    if count_x < count_y:
-        pad = xw ** (count_y - count_x)
-    elif count_y < count_x:
-        pad = yw ** (count_x - count_y)
-    else:
-        pad = Word()
-    left, right = pad * left, pad * right
-    if left == right:
-        raise ValueError("the balancing recipe collapsed to a trivial identity")
-    return Identity(left, right)
 
 
 @dataclass(frozen=True)

@@ -211,10 +211,6 @@ def fin(w: Word) -> Word:
     return Word(out)
 
 
-def reverse(w: Word) -> Word:
-    return Word(tuple(reversed(w.letters)))
-
-
 def has_kth_power_factor(w: Word, k: int) -> bool:
     """Whether some non-empty word t has t^k as a factor of w."""
     if k < 1:

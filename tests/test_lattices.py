@@ -146,6 +146,16 @@ class TestConstruction:
         with pytest.raises(LatticeError, match=f"{MAX_ELEMENTS + 1} elements exceed the limit"):
             product(chain(25), chain(41))
 
+    def test_bound_tables_hold_every_index_below_max_elements(self):
+        # int16 tables: past int8's 127, and every index below MAX_ELEMENTS fits
+        L = chain(200)
+        for table in (L.meet_table, L.join_table):
+            assert table.dtype == np.int16 and np.iinfo(table.dtype).max >= MAX_ELEMENTS - 1
+        ranks = np.arange(200)
+        assert (L.join_table == np.maximum.outer(ranks, ranks)).all()
+        assert (L.meet_table == np.minimum.outer(ranks, ranks)).all()
+        assert (L.join("199", "0"), L.meet("199", "0")) == ("199", "0")
+
     def test_json_format(self):
         text = '{"elements": ["0", "a", "1"], "covers": [["0", "a"], ["a", "1"]]}'
         L = lattice_from_json(text)

@@ -72,7 +72,6 @@ EXPORTS = LATTICE_EXPORTS + (
     "Verdict",
     "Word",
     "WordSyntaxError",
-    "balance_identity",
     "c_normal_form",
     "class_closure_verify",
     "content",
@@ -95,7 +94,6 @@ EXPORTS = LATTICE_EXPORTS + (
     "parse_variety",
     "parse_word",
     "reference_presentation",
-    "reverse",
     "run_scenario",
     "satisfies",
     "verify_certificate",

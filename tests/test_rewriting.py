@@ -15,6 +15,7 @@ from monvar import (
     NotClosed,
     NotConnected,
     Presentation,
+    RewriteStep,
     Rewriter,
     SearchBounds,
     Substitution,
@@ -247,12 +248,18 @@ def reference_expand(sigma, s, cap):
     return [(q, found[q]) for q in order], cap if overflow else None
 
 
-def resolved(rewriter, entry):
-    """An _Entry with each link's shape resolved through rewriter's rules, in
+def resolved(rewriter, s, entry):
+    """The _Entry of the word code s with each link's shape resolved through
+    rewriter's rules and each image read from s at the link's lengths, in
     reference_expand's form."""
     successors = []
-    for q, (i, end, shape, images) in entry.successors:
+    for q, (i, end, shape, lengths) in entry.successors:
         rule = rewriter._rule_of[shape]
+        images, at = {}, i
+        for slot, repeat, _, _ in shape[0]:  # the rewritten side's runs
+            images.setdefault(slot, s[at : at + lengths[slot]])
+            at += repeat * lengths[slot]
+        images = tuple(images[j] for j in range(len(lengths)))
         successors.append((q, (i, end, (rule.identity_index, rule.forward, rule.variables), images)))
     return successors, entry.cap
 
@@ -317,6 +324,36 @@ class TestSuccessorOracle:
                 assert set(successors) == reference_successors(p, sigma), (sigma, p)
                 for q, step in successors.items():
                     assert step.source(sigma) == p and step.target(sigma) == q
+
+    def test_successors_commute_with_renaming_letters(self):
+        # for a permutation pi of a word's letters, the successors of pi(w)
+        # are pi(q), each by pi(step): the same identity and direction, with
+        # pi applied to the prefix, suffix and images; then a word over more
+        # than 256 variables, whose codes run past chr(255)
+        rng = random.Random(2917)
+        cases = []
+        for _ in range(60):
+            sigma = self.random_system(rng)
+            cases += [(sigma, Word(rng.choices(self.NAMES, k=rng.randint(1, 6)))) for _ in range(4)]
+        many = [Variable(f"x{k}") for k in range(300)]
+        cases.append((Presentation.of("x^2 = x^3"), Word([v for v in many for _ in range(rng.randint(1, 2))])))
+        renamed = 0
+        for sigma, w in cases:
+            letters = sorted(set(w.letters), key=lambda v: v.name)
+            pi = dict(zip(letters, rng.sample(letters, len(letters))))
+
+            def rename(word):
+                return Word([pi[v] for v in word.letters])
+
+            def rename_step(step):
+                subst = Substitution({v: rename(image) for v, image in step.subst.items()})
+                return RewriteStep(rename(step.prefix), rename(step.suffix), step.identity_index, step.forward, subst)
+
+            clear_successor_cache()
+            expected = {rename(q): rename_step(step) for q, step in one_step_successors(w, sigma).items()}
+            assert one_step_successors(rename(w), sigma) == expected, (sigma, w, pi)
+            renamed += rename(w) != w
+        assert renamed >= 100 and len(expected) > 100, (renamed, len(expected))
 
     def test_certificates_replay_and_round_trip(self):
         rng = random.Random(7219)
@@ -398,7 +435,7 @@ class TestSuccessorOracle:
                 clear_successor_cache()  # so every kernel runs
                 entry = rewriter._expand(s, cap)
                 # codes, order and links (rule and images included) and the kept cap
-                assert resolved(rewriter, entry) == reference_expand(sigma, s, cap), (sigma, word, cap)
+                assert resolved(rewriter, s, entry) == reference_expand(sigma, s, cap), (sigma, word, cap)
 
     def test_shared_shape_memos_change_no_answer(self):
         # pairs that share rule shapes under another identity index,
@@ -436,7 +473,7 @@ class TestSuccessorOracle:
                         if fill != "cold":
                             Rewriter.of(b)._expand(s, fill)
                         rewriter = Rewriter.of(a)
-                        assert resolved(rewriter, rewriter._expand(s, cap)) == expected, (a, b, word, cap, fill)
+                        assert resolved(rewriter, s, rewriter._expand(s, cap)) == expected, (a, b, word, cap, fill)
                         if fill is None:
                             # complete matches serve every cap: only a's own shapes run
                             assert rewriter.kernel_runs == len(rewriter._rules) - shared
@@ -666,7 +703,24 @@ class TestRewriter:
         sl._successors(s)
         assert (c.kernel_runs, sl.kernel_runs) == (3, 4)
         for rewriter in (sl, c):
-            assert resolved(rewriter, rewriter._successors(s)) == reference_expand(rewriter.presentation, s, None)
+            assert resolved(rewriter, s, rewriter._successors(s)) == reference_expand(rewriter.presentation, s, None)
+        clear_successor_cache()
+
+    def test_renamed_words_run_no_kernel(self):
+        # yx^2y and xy^2x rename to each other, so once yx^2y's successors are
+        # built, xy^2x's run no kernel, in the same rewriter or another one
+        # whose rules have the same shapes
+        clear_successor_cache()
+        e = Rewriter.of(SIGMA_E)
+        renamed = Rewriter.of(Presentation.of("z^2 = z^3", "z^2t = ztz", "z^2t^2 = t^2z^2"))
+        _, yx = rewriting._encode(parse_word("yx^2y"))
+        _, xy = rewriting._encode(parse_word("xy^2x"))
+        e._successors(yx)
+        assert e.kernel_runs == len(e._rules)
+        entry = e._successors(xy)
+        assert (e.misses, e.kernel_runs) == (2, len(e._rules))
+        assert renamed._successors(xy) == entry and renamed.kernel_runs == 0
+        assert resolved(e, xy, entry) == reference_expand(SIGMA_E, xy, None)
         clear_successor_cache()
 
     def test_caps_interplay_as_with_a_fresh_registry(self):

@@ -4,13 +4,8 @@ import pytest
 
 from monvar import (
     E_PRESENTATION,
-    Identity,
     Presentation,
-    SearchBounds,
     Variable,
-    balance_identity,
-    content,
-    derive,
     find_shaped_identity,
     ini,
     occ,
@@ -22,62 +17,6 @@ from monvar import (
 )
 
 X, Y = Variable("x"), Variable("y")
-
-
-class TestBalanceIdentity:
-    def test_documented_shape(self):
-        result = balance_identity(parse_word("xy"), parse_word("yxy"))
-        assert result.lhs == parse_word("x^2yx^2y^3")
-        assert result.rhs == parse_word("xyxyx^2y^2")
-        for side in (result.lhs, result.rhs):
-            assert occ(side, X) == 4 and occ(side, Y) == 4
-
-    def test_already_balanced_input(self):
-        result = balance_identity(parse_word("xyxy"), parse_word("xyyx"))
-        assert result.lhs == parse_word("xyxy") * parse_word("x^3y^3")
-        assert result.rhs == parse_word("xyyx") * parse_word("x^3y^3")
-        for side in (result.lhs, result.rhs):
-            assert occ(side, X) == 5 and occ(side, Y) == 5
-
-    def test_counts_equal_and_at_least_two(self):
-        pairs = [("xy", "yxy"), ("xyxy", "xyyx"), ("x^2y", "yx"), ("xy^3", "y^2xy")]
-        for left, right in pairs:
-            result = balance_identity(parse_word(left), parse_word(right))
-            counts = {
-                occ(result.lhs, X),
-                occ(result.lhs, Y),
-                occ(result.rhs, X),
-                occ(result.rhs, Y),
-            }
-            assert len(counts) == 1 and counts.pop() >= 2
-            assert result.lhs != result.rhs
-            assert content(result.lhs) == content(result.rhs) == frozenset({X, Y})
-
-    def test_result_follows_from_input_and_power_identities(self):
-        u1, v1 = parse_word("xy"), parse_word("yxy")
-        result = balance_identity(u1, v1)
-        system = Presentation(
-            (
-                Identity(u1, v1),
-                Identity(parse_word("x^2"), parse_word("x^2")),
-                Identity(parse_word("x^2"), parse_word("x^3")),
-            )
-        )
-        cert = derive(system, result.lhs, result.rhs, SearchBounds(10, 6))
-        assert cert is not None
-        assert verify_certificate(system, cert, result.lhs, result.rhs).ok
-
-    def test_rejects_trivial_input(self):
-        with pytest.raises(ValueError):
-            balance_identity(parse_word("xy"), parse_word("xy"))
-
-    def test_rejects_wrong_content(self):
-        with pytest.raises(ValueError):
-            balance_identity(parse_word("xz"), parse_word("zx"))
-
-    def test_rejects_collapsing_input(self):
-        with pytest.raises(ValueError, match="collapsed"):
-            balance_identity(parse_word("xyx"), parse_word("xy"))
 
 
 class TestFindShapedIdentity:
