@@ -544,7 +544,8 @@ class _Match(NamedTuple):
 
 
 # Every memo entry lives in _MEMO under (owner, word code): a rewriter's
-# _Entry under its owner number, a rule shape's _Match under the shape.  They
+# _Entry under its owner number and the word's own code, a rule shape's
+# _Match under the shape and the code renamed by first occurrence.  They
 # count one per word and one per successor held, at most MAX_MEMO_ENTRIES in
 # all; past that the oldest entry (the dict's first) leaves first, and a
 # rebuilt entry counts as new.
