@@ -6,6 +6,13 @@ meet/join composite.  Query verdicts are three-valued: No answers are only
 ever produced from exact evidence, and Unknown records whether bounds or
 composition is the obstacle.
 
+A presented handle searches only when the search can change the verdict: a
+built-in that satisfies every identity of the presentation lies in its
+variety (Birkhoff), so when such a built-in fails u = v no derivation of
+u = v exists, and the answer is Unknown (bounds) without any search.
+Composite handles evaluate their built-in parts first and stop at the first
+part whose answer decides the composite.
+
 Built-in deciders and their canonical invariants:
 
   T    trivial monoids          every identity holds
@@ -20,9 +27,10 @@ length of its longest isoterm) is one row of the table `_BUILTINS`.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 from .rewriting import (
@@ -72,7 +80,19 @@ class Builtin:
 
 @dataclass(frozen=True)
 class Presented:
+    """The variety of a presentation, which must be content-balanced:
+    anything else raises ContentUnbalancedError."""
+
     presentation: Presentation
+
+    def __post_init__(self):
+        self.presentation.require_content_balanced()
+
+    @cached_property
+    def _models(self) -> frozenset[BuiltinKind]:
+        """The built-ins that satisfy every identity, so lie in the variety."""
+        identities = self.presentation.identities
+        return frozenset(kind for kind in _BUILTINS if all(_holds(kind, ident) for ident in identities))
 
 
 @dataclass(frozen=True)
@@ -82,6 +102,13 @@ class Meet:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("meet of an empty list")
+
+    @cached_property
+    def _union(self) -> Presented | None:
+        """The union of the parts' presentations, when every part is presented."""
+        if not all(isinstance(part, Presented) for part in self.parts):
+            return None
+        return Presented(Presentation(tuple(i for part in self.parts for i in part.presentation.identities)))
 
 
 @dataclass(frozen=True)
@@ -175,40 +202,60 @@ def reference_presentation(kind: BuiltinKind) -> Presentation | None:
     return _BUILTINS[kind].basis
 
 
-def _every_part(answers: list[Verdict]) -> Verdict:
-    """No if some answer is No, Yes if all are Yes, otherwise Unknown (composition)."""
-    if any(a.is_no for a in answers):
-        return Verdict.NO
-    if all(a.is_yes for a in answers):
-        return Verdict.YES
-    return Verdict.UNKNOWN_COMPOSITION
+def _holds(kind: BuiltinKind, identity: Identity) -> bool:
+    invariant = _BUILTINS[kind].invariant
+    return invariant(identity.lhs) == invariant(identity.rhs)
+
+
+def _builtins_first(parts: Iterable[VarietyHandle]) -> list[VarietyHandle]:
+    """The parts with the built-ins, which answer without search, first."""
+    return sorted(parts, key=lambda part: not isinstance(part, Builtin))
+
+
+def _every_part(answers: Iterable[Verdict]) -> Verdict:
+    """No if some answer is No, Yes if all are Yes, otherwise Unknown
+    (composition).  Stops at the first No."""
+    verdict = Verdict.YES
+    for answer in answers:
+        if answer.is_no:
+            return Verdict.NO
+        if not answer.is_yes:
+            verdict = Verdict.UNKNOWN_COMPOSITION
+    return verdict
+
+
+def _derived(handle: Presented, identity: Identity, bounds: SearchBounds | None) -> Verdict:
+    """Yes on a bounded derivation, otherwise Unknown (bounds).  No search is
+    run when a built-in model of the presentation fails the identity."""
+    if all(_holds(kind, identity) for kind in handle._models):
+        if derive(handle.presentation, identity.lhs, identity.rhs, bounds) is not None:
+            return Verdict.YES
+    return Verdict.UNKNOWN_BOUNDS
 
 
 def satisfies(handle: VarietyHandle, identity: Identity, bounds: SearchBounds | None = None) -> Verdict:
     """Whether the variety satisfies the identity.
 
     Built-ins answer exactly.  Presented handles answer Yes on a successful
-    bounded derivation and Unknown otherwise, never No.  A join satisfies
-    exactly the identities all its components satisfy; a meet satisfies at
-    least the identities of each component and everything derivable from the
-    union of component presentations.
+    bounded derivation and Unknown otherwise, never No; the Unknown comes
+    without any search when a built-in in the variety fails the identity.
+    A join satisfies exactly the identities all its components satisfy; a
+    meet satisfies at least the identities of each component and everything
+    derivable from the union of component presentations.  Components are
+    asked built-ins first, and a join stops at the first No, a meet at the
+    first Yes.
     """
     if isinstance(handle, Builtin):
-        invariant = _BUILTINS[handle.kind].invariant
-        return Verdict.YES if invariant(identity.lhs) == invariant(identity.rhs) else Verdict.NO
+        return Verdict.YES if _holds(handle.kind, identity) else Verdict.NO
     if isinstance(handle, Presented):
-        cert = derive(handle.presentation, identity.lhs, identity.rhs, bounds)
-        return Verdict.YES if cert is not None else Verdict.UNKNOWN_BOUNDS
+        return _derived(handle, identity, bounds)
     if isinstance(handle, Join):
-        return _every_part([satisfies(part, identity, bounds) for part in handle.parts])
+        return _every_part(satisfies(part, identity, bounds) for part in _builtins_first(handle.parts))
     if isinstance(handle, Meet):
-        answers = [satisfies(part, identity, bounds) for part in handle.parts]
-        if any(a.is_yes for a in answers):
+        if any(satisfies(part, identity, bounds).is_yes for part in _builtins_first(handle.parts)):
             return Verdict.YES
-        if all(isinstance(part, Presented) for part in handle.parts):
-            union = Presentation(tuple(i for part in handle.parts for i in part.presentation.identities))
-            cert = derive(union, identity.lhs, identity.rhs, bounds)
-            return Verdict.YES if cert is not None else Verdict.UNKNOWN_BOUNDS
+        if handle._union is not None:
+            return _derived(handle._union, identity, bounds)
         return Verdict.UNKNOWN_COMPOSITION
     raise TypeError(f"not a variety handle: {handle!r}")
 
@@ -223,14 +270,15 @@ def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = No
     when every component does.  The class under a join is the intersection
     of the component classes, so a finite complete class from one presented
     component, filtered by the other components' satisfaction answers,
-    decides the join.
+    decides the join.  Components are asked built-ins first, and a meet
+    stops at the first No, as does each filter of a join.
     """
     if isinstance(handle, Builtin):
         return Verdict.YES if len(w) <= _BUILTINS[handle.kind].longest_isoterm else Verdict.NO
     if isinstance(handle, Presented):
         return Verdict.YES if isoterm_exact(w, handle.presentation) else Verdict.NO
     if isinstance(handle, Meet):
-        return _every_part([isoterm_for(part, w, bounds) for part in handle.parts])
+        return _every_part(isoterm_for(part, w, bounds) for part in _builtins_first(handle.parts))
     if isinstance(handle, Join):
         for index, part in enumerate(handle.parts):
             if not isinstance(part, Presented):
@@ -238,12 +286,12 @@ def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = No
             enumeration = enumerate_class(w, part.presentation, bounds)
             if not enumeration.complete:
                 continue
-            others = [p for k, p in enumerate(handle.parts) if k != index]
+            others = _builtins_first(p for k, p in enumerate(handle.parts) if k != index)
             undecided = False
             for other_word in sorted(enumeration.words, key=lambda x: x.key):
                 if other_word == w:
                     continue
-                verdict = _every_part([satisfies(other, Identity(w, other_word), bounds) for other in others])
+                verdict = _every_part(satisfies(other, Identity(w, other_word), bounds) for other in others)
                 if verdict.is_yes:
                     return Verdict.NO
                 undecided = undecided or verdict.is_unknown

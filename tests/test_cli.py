@@ -105,6 +105,13 @@ class TestVerdictCommands:
         assert main(["satisfies", "--variety", "MON", "--lhs", "xy", "--rhs", "yx"]) == 0
         assert capsys.readouterr().out.strip() == "Unknown (bounds)"
 
+    def test_unbalanced_part_is_an_error(self, tmp_path, capsys):
+        # SL alone refutes x = xy, but the presented part is still rejected
+        path = tmp_path / "bad.ids"
+        path.write_text("x = xy\n")
+        assert main(["satisfies", "--variety", f"join(SL, @{path})", "--lhs", "x", "--rhs", "xy"]) == 2
+        assert capsys.readouterr().err.strip() == "error: identity x = xy is not content-balanced"
+
     def test_isoterm_with_file_reference(self, class_system, capsys):
         code = main(["isoterm", "--variety", f"join(LRB, @{class_system})", "--word", "yxyxx"])
         assert code == 0

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -11,11 +13,13 @@ from monvar import (
     T,
     Builtin,
     BuiltinKind,
+    ContentUnbalancedError,
     Identity,
     Join,
     Meet,
     Presentation,
     Presented,
+    Rewriter,
     SearchBounds,
     Variable,
     Verdict,
@@ -35,6 +39,8 @@ X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
 SIGMA_X1 = Presentation.of("xyxyx = yxyxx", "xyyxx = yxxyx")
 SIGMA_Y1 = Presentation.of("xyxyx = xyyxx")
+SIGMA_BAD = Presentation.of("x = xy")
+REFERENCE_KINDS = (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB)
 
 
 def words_over(letters, max_len):
@@ -132,6 +138,105 @@ class TestComposition:
         # SL says Yes; the presented part never answers No
         join = Join((Presented(Presentation.of("x = x^3")), SL))
         assert satisfies(join, Identity.parse("x = x^2")) is Verdict.UNKNOWN_COMPOSITION
+
+
+class TestContentBalance:
+    # every query on a handle with an unbalanced presented part raises, even
+    # where a built-in part decides the composite before that part is asked
+    def test_presented_handle_rejects_unbalanced_system(self):
+        with pytest.raises(ContentUnbalancedError, match="x = xy is not content-balanced"):
+            Presented(SIGMA_BAD)
+
+    def test_join_decided_by_builtin(self):
+        with pytest.raises(ContentUnbalancedError):
+            satisfies(Join((SL, Presented(SIGMA_BAD))), Identity.parse("x = xy"))
+
+    def test_meet_decided_by_builtin(self):
+        with pytest.raises(ContentUnbalancedError):
+            satisfies(Meet((LRB, Presented(SIGMA_BAD))), Identity.parse("xy = xyx"))
+
+    def test_join_isoterm_decided_by_first_class(self):
+        with pytest.raises(ContentUnbalancedError):
+            isoterm_for(Join((MON, Presented(SIGMA_BAD))), parse_word("x"))
+
+
+class TestModelPruning:
+    # A built-in that satisfies every identity of a presentation lies in its
+    # variety, so an identity it fails has no derivation and is not searched.
+    EXTENSIONS = ("x = x^3", "x^2 = x", "xy = yx", "xyx = x^2y", "xyx = yx")
+
+    def test_pruned_identities_have_no_derivation(self):
+        bounds = SearchBounds(6, 6)
+        words = words_over_xy(4)
+        for kind in REFERENCE_KINDS:
+            basis = reference_presentation(kind)
+            for sigma in (basis, *(basis | Presentation.of(e) for e in self.EXTENSIONS)):
+                models = [
+                    Builtin(k)
+                    for k in BuiltinKind
+                    if all(satisfies(Builtin(k), ident).is_yes for ident in sigma.identities)
+                ]
+                handle, pruned = Presented(sigma), 0
+                for u, v in itertools.combinations(words, 2):
+                    ident = Identity(u, v)
+                    if any(satisfies(model, ident).is_no for model in models):
+                        pruned += 1
+                        assert satisfies(handle, ident, bounds) is Verdict.UNKNOWN_BOUNDS
+                        assert derive(sigma, u, v, bounds) is None, (sigma, ident)
+                assert pruned > 0
+
+    def assert_no_search(self, sigma, handle, identity, verdict):
+        rewriter = Rewriter.of(sigma)
+        calls = rewriter.calls
+        assert satisfies(handle, identity) is verdict
+        assert Rewriter.of(sigma) is rewriter
+        assert rewriter.calls == calls
+
+    def test_presented_handle(self):
+        lrb = reference_presentation(BuiltinKind.LRB)
+        self.assert_no_search(lrb, Presented(lrb), Identity.parse("xy = yx"), Verdict.UNKNOWN_BOUNDS)
+
+    # The SL basis derives xy = yx, so where its part is listed first only
+    # asking the built-in first keeps its rewriter idle.
+    def test_join_stops_at_builtin_no(self):
+        sl = reference_presentation(BuiltinKind.SL)
+        self.assert_no_search(sl, Join((LRB, Presented(sl))), Identity.parse("xy = yx"), Verdict.NO)
+        self.assert_no_search(sl, Join((Presented(sl), LRB)), Identity.parse("xy = yx"), Verdict.NO)
+
+    def test_meet_stops_at_builtin_yes(self):
+        lrb = reference_presentation(BuiltinKind.LRB)
+        self.assert_no_search(lrb, Meet((SL, Presented(lrb))), Identity.parse("xy = yx"), Verdict.YES)
+        sl = reference_presentation(BuiltinKind.SL)
+        self.assert_no_search(sl, Meet((Presented(sl), SL)), Identity.parse("xy = yx"), Verdict.YES)
+
+
+def verdict_stream(seed, count):
+    """A seeded stream of satisfies/isoterm_for verdicts on built-in,
+    presented and (nested) meet/join handles over words in x, y of length <= 4."""
+    rng = random.Random(seed)
+    words = words_over_xy(4)
+    bases = [reference_presentation(kind) for kind in REFERENCE_KINDS]
+    extensions = ("x = x^3", "xyx = x^2y", "x^2 = x", "xyx = yx")
+    simple = [T, SL, C, LRB, RRB, MON]
+    simple += [Presented(basis) for basis in bases]
+    simple += [Presented(basis | Presentation.of(e)) for basis, e in zip(bases, extensions)]
+    pool = simple + [rng.choice((Meet, Join))((rng.choice(simple), rng.choice(simple))) for _ in range(16)]
+    pool += [rng.choice((Meet, Join))((rng.choice(pool), rng.choice(pool))) for _ in range(8)]
+    bounds = SearchBounds(6, 6)
+    for _ in range(count):
+        handle = rng.choice(pool)
+        if rng.random() < 0.75:
+            yield satisfies(handle, Identity(rng.choice(words), rng.choice(words)), bounds)
+        else:
+            yield isoterm_for(handle, rng.choice(words), bounds)
+
+
+def test_verdict_stream_digest():
+    # Pinned before the model check and the early-stopping composites, which
+    # change no verdict; a change that turns Unknown into No re-pins it.
+    verdicts = "".join(f"{verdict.value}\n" for verdict in verdict_stream(0, 1000))
+    digest = hashlib.sha256(verdicts.encode()).hexdigest()
+    assert digest == "ab608b4c0c35b4b75001b29e792f90b7ba044f0660846f39e893cc5e2c782620"
 
 
 class TestMon:
