@@ -10,8 +10,8 @@ A presented handle searches only when the search can change the verdict: a
 built-in that satisfies every identity of the presentation lies in its
 variety (Birkhoff), so when such a built-in fails u = v no derivation of
 u = v exists, and the answer is Unknown (bounds) without any search.
-Composite handles evaluate their built-in parts first and stop at the first
-part whose answer decides the composite.
+Composite handles evaluate their parts in the order given and stop at the
+first part whose answer decides the composite.
 
 Built-in deciders and their canonical invariants:
 
@@ -207,11 +207,6 @@ def _holds(kind: BuiltinKind, identity: Identity) -> bool:
     return invariant(identity.lhs) == invariant(identity.rhs)
 
 
-def _builtins_first(parts: Iterable[VarietyHandle]) -> list[VarietyHandle]:
-    """The parts with the built-ins, which answer without search, first."""
-    return sorted(parts, key=lambda part: not isinstance(part, Builtin))
-
-
 def _every_part(answers: Iterable[Verdict]) -> Verdict:
     """No if some answer is No, Yes if all are Yes, otherwise Unknown
     (composition).  Stops at the first No."""
@@ -242,17 +237,17 @@ def satisfies(handle: VarietyHandle, identity: Identity, bounds: SearchBounds | 
     A join satisfies exactly the identities all its components satisfy; a
     meet satisfies at least the identities of each component and everything
     derivable from the union of component presentations.  Components are
-    asked built-ins first, and a join stops at the first No, a meet at the
-    first Yes.
+    asked in order, and a join stops at the first No, a meet at the first
+    Yes.
     """
     if isinstance(handle, Builtin):
         return Verdict.YES if _holds(handle.kind, identity) else Verdict.NO
     if isinstance(handle, Presented):
         return _derived(handle, identity, bounds)
     if isinstance(handle, Join):
-        return _every_part(satisfies(part, identity, bounds) for part in _builtins_first(handle.parts))
+        return _every_part(satisfies(part, identity, bounds) for part in handle.parts)
     if isinstance(handle, Meet):
-        if any(satisfies(part, identity, bounds).is_yes for part in _builtins_first(handle.parts)):
+        if any(satisfies(part, identity, bounds).is_yes for part in handle.parts):
             return Verdict.YES
         if handle._union is not None:
             return _derived(handle._union, identity, bounds)
@@ -270,15 +265,15 @@ def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = No
     when every component does.  The class under a join is the intersection
     of the component classes, so a finite complete class from one presented
     component, filtered by the other components' satisfaction answers,
-    decides the join.  Components are asked built-ins first, and a meet
-    stops at the first No, as does each filter of a join.
+    decides the join.  Components are asked in order, and a meet stops at
+    the first No, as does each filter of a join.
     """
     if isinstance(handle, Builtin):
         return Verdict.YES if len(w) <= _BUILTINS[handle.kind].longest_isoterm else Verdict.NO
     if isinstance(handle, Presented):
         return Verdict.YES if isoterm_exact(w, handle.presentation) else Verdict.NO
     if isinstance(handle, Meet):
-        return _every_part(isoterm_for(part, w, bounds) for part in _builtins_first(handle.parts))
+        return _every_part(isoterm_for(part, w, bounds) for part in handle.parts)
     if isinstance(handle, Join):
         for index, part in enumerate(handle.parts):
             if not isinstance(part, Presented):
@@ -286,7 +281,7 @@ def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = No
             enumeration = enumerate_class(w, part.presentation, bounds)
             if not enumeration.complete:
                 continue
-            others = _builtins_first(p for k, p in enumerate(handle.parts) if k != index)
+            others = [p for k, p in enumerate(handle.parts) if k != index]
             undecided = False
             for other_word in sorted(enumeration.words, key=lambda x: x.key):
                 if other_word == w:
