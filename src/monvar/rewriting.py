@@ -23,22 +23,25 @@ compiled once, which matches by nested loops and measures every successor
 before building it.  A successor longer than the length cap is never built;
 it only marks the entry as capped.
 
-Successors are memoised in one dict keyed by (owner, word code): a rule
-shape's entry holds what its kernel gave the word, for every presentation
-with a rule of that shape, and a rewriter's the union of its rules' matches.
-Rewriting commutes with renaming letters, so shape entries are keyed by the
-word's first-occurrence renaming (its k-th distinct letter becomes chr(k)),
-and one serves every word with that renaming; a successor's link records
-each variable's image length, not its text, so it holds for every renaming
-too, and a RewriteStep reads the images back out of its source.  An entry
-holds a word's successors within the length cap it was built under, and
-keeps that cap only when a longer successor exists.  An entry that left out
-nothing is complete and serves every cap; a request for a larger cap, or for
-no cap, builds the entry again.  Past the budget the oldest entry leaves
-first, and a rebuilt entry counts as new.  Internally a word is a str with
-one character per letter, coded in the name order of its content, so
-shortlex order is string order; Word stays the public type, and a
-RewriteStep is built only for a certificate or for one_step_successors.
+Successors are memoised in one dict keyed by (owner, word code), and every
+entry has one form: a dict from each successor code other than the word's
+own to its link, and a cap.  A rule shape's entry holds what its kernel gave
+the word, for every presentation with a rule of that shape, and a rewriter's
+the union of its rules' matches in shortlex order.  Rewriting commutes with
+renaming letters, so shape entries are keyed by the word's first-occurrence
+renaming (its k-th distinct letter becomes chr(k)), and one serves every
+word with that renaming; a successor's link records each variable's image
+length, not its text, so it holds for every renaming too, and a RewriteStep
+reads the images back out of its source.  A request caps successor length
+by a number, math.inf for all of them.  An entry holds a word's successors
+within the cap it was built under, and keeps that cap only when a longer
+successor exists.  An entry that left out nothing is complete and serves
+every cap; a request for a larger cap builds the entry again.  Past the
+budget the oldest entry leaves first, and a rebuilt entry counts as new.
+Internally a word is a str with one character per letter, coded in the name
+order of its content, so shortlex order is string order; Word stays the
+public type, and a RewriteStep is built only for a certificate or for
+one_step_successors.
 
 Every exact operation wraps one search, explore: derive stops it at its target
 (and skips it for two words of different content, which no content-balanced
@@ -60,6 +63,7 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .words import (
+    EMPTY,
     Substitution,
     Variable,
     Word,
@@ -522,41 +526,33 @@ def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
 
 
 class _Entry(NamedTuple):
-    """A rewriter's memo entry: a word's successor codes, each with its
-    link, in shortlex order.  cap is None when they are all there, and an
-    entry serves every cap; otherwise the word has a successor longer than
-    cap, and only those no longer than cap are held.  A link is (prefix end,
-    suffix start, rule shape, image lengths by slot)."""
-
-    successors: tuple[tuple[str, tuple], ...]
-    cap: int | None
-
-
-class _Match(NamedTuple):
-    """A rule shape's memo entry for a word code renamed by first occurrence
-    (see Rewriter._expand): the successor codes the shape gives it, other
-    than the code itself, with their links in the order found, and cap as in
-    _Entry.  A complete match built under a larger cap than a request's may
-    hold successors longer than the request's cap."""
+    """A memo entry: a word code's successor codes, never the code itself,
+    each mapped to its link (prefix end, suffix start, rule shape, image
+    lengths by slot).  A rewriter's entry lists them in shortlex order, a
+    rule shape's in the order its kernel found them.  cap is None when every
+    successor is there, and then the entry serves every request; otherwise
+    the word has a successor longer than cap, and only those no longer than
+    cap are held.  A complete entry may hold successors longer than a
+    request's cap."""
 
     successors: dict[str, tuple]
     cap: int | None
 
 
-# Every memo entry lives in _MEMO under (owner, word code): a rewriter's
-# _Entry under its owner number and the word's own code, a rule shape's
-# _Match under the shape and the code renamed by first occurrence.  They
-# count one per word and one per successor held, at most MAX_MEMO_ENTRIES in
-# all; past that the oldest entry (the dict's first) leaves first, and a
-# rebuilt entry counts as new.
+# Every memo entry is an _Entry in _MEMO under (owner, word code): a
+# rewriter's under its owner number and the word's own code, a rule shape's
+# under the shape and the code renamed by first occurrence.  They count one
+# per word and one per successor held, at most MAX_MEMO_ENTRIES in all; past
+# that the oldest entry (the dict's first) leaves first, and a rebuilt entry
+# counts as new.
 MAX_MEMO_ENTRIES = 1 << 20
 _MAX_REWRITERS = 256
-_MEMO: dict[tuple, _Entry | _Match] = {}
+_MEMO: dict[tuple, _Entry] = {}
 _memo_entries = 0
 _owners = count()
 
 
-def _memoise(key: tuple, entry: _Entry | _Match) -> None:
+def _memoise(key: tuple, entry: _Entry) -> None:
     """Store entry under key as the newest, in place of key's old entry, then
     evict the oldest entries until the count is within MAX_MEMO_ENTRIES."""
     global _memo_entries
@@ -597,15 +593,11 @@ class Rewriter:
     of that shape in any presentation; a kernel computes each match's
     successor length first and builds only the successors within the cap.
 
-    Its memo entries, keyed by its own owner number and a word code, are
-    _Entries, each the union of the _Matches its rules' shapes hold for the
-    word's first-occurrence renaming, renamed back to the word's letters:
-    its successor codes within the length cap it was built under, in
-    shortlex order, each with a link (prefix end, suffix start, rule shape,
-    image lengths) from which the RewriteStep is built on demand through
-    this rewriter's rule of that shape, slicing each image out of the word,
-    and that cap if a longer successor exists (measured, never built), else
-    None.
+    Its memo entries, keyed by its own owner number and a word code, hold
+    the union of the entries its rules' shapes hold for the word's
+    first-occurrence renaming, renamed back to the word's letters, in
+    shortlex order.  A link's RewriteStep is built on demand through this
+    rewriter's rule of the link's shape, slicing each image out of the word.
     """
 
     def __init__(self, sigma: Presentation):
@@ -645,65 +637,57 @@ class Rewriter:
         """Rule kernels run for misses, not counting matches the memo held."""
         return self._kernel_runs
 
-    def _successors(self, s: str, cap: int | None = None) -> _Entry:
+    def _successors(self, s: str, cap: float = math.inf) -> _Entry:
         """The memo entry of the word code s for a request for its successors
-        no longer than cap, which is at least len(s), or for all of them when
-        cap is None.  An entry that left out successors the request wants is
+        no longer than cap, which is at least len(s); the default asks for
+        all of them.  An entry that left out successors the request wants is
         expanded again, which counts as a miss."""
         self._calls += 1
         key = (self._owner, s)
         entry = _MEMO.get(key)
-        if entry is None or entry.cap is not None and (cap is None or cap > entry.cap):
+        if entry is None or entry.cap is not None and cap > entry.cap:
             self._misses += 1
             entry = self._expand(s, cap)
             _memoise(key, entry)
         return entry
 
-    def _expand(self, s: str, cap: int | None) -> _Entry:
-        """The memo entry of s for cap, which is None or at least len(s)."""
+    def _expand(self, s: str, cap: float) -> _Entry:
+        """The memo entry of s for cap, which is at least len(s)."""
         # The first step found for a successor is kept: identities in order,
         # forward before backward (merged last first, so the earlier rule's
         # link wins), prefixes by length, bindings depth-first.  Every match
         # giving q is len(q) long, so a cap never changes which link is
-        # first.  s gets the first rule's link at prefix 0 with every image
-        # empty, so kernels may skip bindings that only give s again.
-        # Rewriting commutes with renaming letters, and a link holds image
-        # lengths, not images, so the rules match c, s with its k-th distinct
-        # letter renamed chr(k), and their successors are renamed back: every
-        # word that renames to c shares c's shape matches.
+        # first.  Rewriting commutes with renaming letters, and a link holds
+        # image lengths, not images, so the rules match c, s with its k-th
+        # distinct letter renamed chr(k), and their successors are renamed
+        # back: every word that renames to c shares c's shape matches.
         letters = "".join(dict.fromkeys(s))
         c = s.translate({ord(a): k for k, a in enumerate(letters)})
-        limit = math.inf if cap is None else cap
         found: dict[str, tuple] = {}
         overflow = False
         for rule in reversed(self._rules):
-            match = self._match(rule, c, cap, limit)
+            match = self._match(rule, c, cap)
             found.update(match.successors)
             overflow = overflow or match.cap is not None
-        if self._rules:
-            first = self._rules[0]
-            found[c] = (0, 0, first.shape, (0,) * len(first.variables))
         # a match built for a larger cap may hold longer successors
-        renamed = {q.translate(letters): link for q, link in found.items() if len(q) <= limit}
+        renamed = {q.translate(letters): link for q, link in found.items() if len(q) <= cap}
         overflow = overflow or len(renamed) < len(found)
         order = list(renamed)
         _shortlex_sort(order)
-        return _Entry(tuple([(q, renamed[q]) for q in order]), cap if overflow else None)
+        return _Entry({q: renamed[q] for q in order}, cap if overflow else None)
 
-    def _match(self, rule: _Rule, s: str, cap: int | None, limit: float) -> _Match:
-        """The _Match of rule's shape for s within cap (limit is cap as a
-        number), from the memo; one that left out successors the request
-        wants is rebuilt."""
+    def _match(self, rule: _Rule, s: str, cap: float) -> _Entry:
+        """The entry of rule's shape for s within cap, s itself left out, from
+        the memo; one that left out successors the request wants is rebuilt."""
         key = (rule.shape, s)
         match = _MEMO.get(key)
-        if match is not None and (match.cap is None or cap is not None and cap <= match.cap):
-            return match
-        self._kernel_runs += 1
-        found: dict[str, tuple] = {s: ()}  # so the kernel skips s
-        over = rule.kernel(s, limit, found, rule.shape, False)
-        del found[s]
-        match = _Match(found, cap if over else None)
-        _memoise(key, match)
+        if match is None or match.cap is not None and cap > match.cap:
+            self._kernel_runs += 1
+            found: dict[str, tuple] = {s: ()}  # so the kernel skips s
+            over = rule.kernel(s, cap, found, rule.shape, False)
+            del found[s]
+            match = _Entry(found, cap if over else None)
+            _memoise(key, match)
         return match
 
 
@@ -721,14 +705,21 @@ def one_step_successors(p: Word, sigma: Presentation) -> dict[Word, RewriteStep]
     """The complete finite set of one-step rewrites of p, as a map from each
     distinct successor word to one replayable step producing it.
 
-    Trivial entries with successor equal to p appear whenever some instance
-    yields them (they never matter for closure or reachability, since p is
-    reachable from itself in zero steps).
+    When sigma has an identity, p is among them too, by the first rule with
+    every image empty (prefix 1, suffix p): such trivial steps never matter
+    for closure or reachability, since p is reachable from itself in zero
+    steps.
     """
     rewriter = Rewriter.of(sigma)
     alphabet, s = _encode(p)
     rules = rewriter._rule_of
-    return {_word(alphabet, q): _step(rules, alphabet, s, link) for q, link in rewriter._successors(s).successors}
+    successors = rewriter._successors(s).successors
+    steps = {_word(alphabet, q): _step(rules, alphabet, s, link) for q, link in successors.items()}
+    if rewriter._rules:
+        first = rewriter._rules[0]
+        subst = Substitution(dict.fromkeys(first.variables, EMPTY))
+        steps[p] = RewriteStep(EMPTY, p, first.identity_index, first.forward, subst)
+    return steps
 
 
 @dataclass
@@ -816,8 +807,8 @@ def explore(
             successors, overflow_cap = rewriter._successors(p, limit)
             if overflow_cap is not None:
                 pruned = True
-            for q, link in successors:
-                if q in parents:  # p itself included
+            for q, link in successors.items():
+                if q in parents:
                     continue
                 if len(q) > max_length:
                     pruned = True
@@ -912,13 +903,13 @@ def class_closure_verify(candidate: set[Word] | frozenset[Word], w: Word, sigma:
         # those it leaves out are longer than every member: the first of them
         # is the witness only when every successor held is a member.
         successors, overflow_cap = rewriter._successors(s, longest)
-        for q, _link in successors:
+        for q in successors:
             if (alphabet, q) not in codes:
                 return NotClosed(member, _word(alphabet, q))
         if overflow_cap is not None:
             # This uncapped request replaces the capped entry (a miss), so later
             # requests for s at any cap are served from the full list.
-            q, _link = rewriter._successors(s).successors[len(successors)]
+            q = list(rewriter._successors(s).successors)[len(successors)]
             return NotClosed(member, _word(alphabet, q))
     # The candidate is closed, so everything reachable from w is a member and
     # these caps prune nothing: the search reaches exactly w's class.

@@ -22,6 +22,7 @@ from monvar import (
     Variable,
     Word,
     class_closure_verify,
+    content,
     default_bounds,
     derive,
     enumerate_class,
@@ -140,6 +141,19 @@ class TestSuccessors:
         with pytest.raises(ContentUnbalancedError):
             one_step_successors(parse_word("xy"), Presentation.of("xy = x"))
 
+    def test_each_word_is_its_own_successor_by_the_first_rule(self):
+        # prefix 1, suffix p and every image empty, under the first identity
+        # read forward; a presentation with no rule gives no successor at all
+        kinds = (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB)
+        systems = [*map(reference_presentation, kinds), POWER, SIGMA_E, SIGMA_X1, Presentation.of("1 = 1"), Presentation.of("zx = xz")]
+        words = [EMPTY, *(parse_word(w) for w in ("x", "xy", "yx^2y", "x^2yxy"))]
+        for sigma in systems:
+            first = Substitution(dict.fromkeys(content(sigma.identities[0].lhs), EMPTY))
+            for p in words:
+                assert one_step_successors(p, sigma)[p] == RewriteStep(EMPTY, p, 0, True, first), (sigma, p)
+        for p in (EMPTY, parse_word("xy")):
+            assert one_step_successors(p, Presentation()) == {}
+
     def test_symmetry(self):
         rng = random.Random(31)
         for sigma in (POWER, SIGMA_E, SIGMA_X1):
@@ -221,9 +235,8 @@ def reference_matches(runs, slots, s, start):
 
 def reference_expand(sigma, s, cap):
     """The memo entry Rewriter._expand(s, cap) must give, by building every
-    successor of every match and dropping those longer than cap, with each
-    link's rule given as (identity index, forward, variables by slot)."""
-    limit = math.inf if cap is None else cap
+    successor of every match and dropping s and those longer than cap, with
+    each link's rule given as (identity index, forward, variables by slot)."""
     found = {}
     overflow = False
     shapes = set()
@@ -240,9 +253,9 @@ def reference_expand(sigma, s, cap):
             for i in range(len(s) + 1):
                 for end, images in reference_matches(runs, len(variables), s, i):
                     q = s[:i] + "".join(images[slot[v]] for v in dst.letters) + s[end:]
-                    if len(q) > limit:
+                    if len(q) > cap:
                         overflow = True
-                    elif q not in found:
+                    elif q not in found and q != s:
                         found[q] = (i, end, (index, forward, variables), images)
     order = sorted(found, key=lambda q: (len(q), q))
     return [(q, found[q]) for q in order], cap if overflow else None
@@ -253,7 +266,7 @@ def resolved(rewriter, s, entry):
     rewriter's rules and each image read from s at the link's lengths, in
     reference_expand's form."""
     successors = []
-    for q, (i, end, shape, lengths) in entry.successors:
+    for q, (i, end, shape, lengths) in entry.successors.items():
         rule = rewriter._rule_of[shape]
         images, at = {}, i
         for slot, repeat, _, _ in shape[0]:  # the rewritten side's runs
@@ -391,8 +404,8 @@ class TestSuccessorOracle:
                     clear_successor_cache()
                     entry = rewriter._successors(s, limit)
                     # same codes in the same order, each with its uncapped link
-                    within = [(q, link) for q, link in everything.successors if len(q) <= limit]
-                    assert list(entry.successors) == within, (sigma, s, limit)
+                    within = [(q, link) for q, link in everything.successors.items() if len(q) <= limit]
+                    assert list(entry.successors.items()) == within, (sigma, s, limit)
                     # a cap is kept exactly when a longer successor was left out
                     overflow = len(within) < len(everything.successors)
                     assert entry.cap == (limit if overflow else None), (sigma, s, limit)
@@ -431,7 +444,7 @@ class TestSuccessorOracle:
         for sigma, word in cases:
             rewriter = Rewriter(sigma)
             _, s = rewriting._encode(word)
-            for cap in [*range(max(1, len(s)), len(s) + 4), None]:
+            for cap in [*range(max(1, len(s)), len(s) + 4), math.inf]:
                 clear_successor_cache()  # so every kernel runs
                 entry = rewriter._expand(s, cap)
                 # codes, order and links (rule and images included) and the kept cap
@@ -464,17 +477,17 @@ class TestSuccessorOracle:
             for _ in range(3):
                 word = Word(rng.choices(self.NAMES, k=rng.randint(1, 5)))
                 _, s = rewriting._encode(word)
-                for cap in (len(s) + 1, None):
+                for cap in (len(s) + 1, math.inf):
                     expected = reference_expand(a, s, cap)
                     # the shape memo cold, then filled by b at a smaller cap,
                     # a larger cap and no cap
-                    for fill in ("cold", len(s), len(s) + 3, None):
+                    for fill in ("cold", len(s), len(s) + 3, math.inf):
                         clear_successor_cache()
                         if fill != "cold":
                             Rewriter.of(b)._expand(s, fill)
                         rewriter = Rewriter.of(a)
                         assert resolved(rewriter, s, rewriter._expand(s, cap)) == expected, (a, b, word, cap, fill)
-                        if fill is None:
+                        if fill == math.inf:
                             # complete matches serve every cap: only a's own shapes run
                             assert rewriter.kernel_runs == len(rewriter._rules) - shared
                             warm_checks += 1
@@ -521,6 +534,38 @@ class TestSuccessorOracle:
             for query, answer in zip(queries, expected):
                 assert query() == answer, budget
                 assert memo_entries() == rewriting._memo_entries <= budget
+        clear_successor_cache()
+
+    def test_every_memo_entry_has_one_form(self):
+        # after seeded searches and class checks under the reference bases
+        # and seeded systems, every entry, a rewriter's or a rule shape's,
+        # maps the codes of its word's other successors to their links
+        rng = random.Random(8821)
+        kinds = (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB)
+        systems = [reference_presentation(kind) for kind in kinds] + [self.random_system(rng) for _ in range(12)]
+        clear_successor_cache()
+        for sigma in systems:
+            for _ in range(3):
+                u = Word(rng.choices(self.NAMES, k=rng.randint(1, 5)))
+                bounds = SearchBounds(rng.randint(5, 8), 4, 80)
+                reached = sorted(explore(sigma, u, bounds).words, key=lambda w: w.key)
+                for v in rng.sample(reached, min(2, len(reached))):
+                    derive(sigma, u, v, bounds)
+                class_closure_verify(set(reached[: rng.randint(1, len(reached))]) | {u}, u, sigma)
+        rewriters = shapes = capped = 0
+        for (owner, s), entry in rewriting._MEMO.items():
+            assert isinstance(entry.successors, dict) and s not in entry.successors, (owner, s)
+            if isinstance(owner, int):
+                codes = list(entry.successors)
+                assert codes == sorted(codes, key=lambda q: (len(q), q)), (owner, s)
+                rewriters += 1
+            else:
+                shapes += 1
+            if entry.cap is not None:
+                assert max(map(len, entry.successors), default=0) <= entry.cap, (owner, s)
+                capped += 1
+        assert rewriting._memo_entries == sum(1 + len(entry.successors) for entry in rewriting._MEMO.values())
+        assert min(rewriters, shapes, capped) >= 1000, (rewriters, shapes, capped)
         clear_successor_cache()
 
     def test_class_and_certificates_follow_word_key_order(self):
@@ -669,7 +714,7 @@ class TestRewriter:
         # the dropped rewriter is still served from its own entries
         misses = dropped.misses
         _, code = rewriting._encode(parse_word("x"))
-        assert "\0" * 3 in [q for q, _link in dropped._successors(code, 8).successors]
+        assert "\0" * 3 in dropped._successors(code, 8).successors
         assert dropped.misses == misses
         clear_successor_cache()
 
@@ -703,7 +748,7 @@ class TestRewriter:
         sl._successors(s)
         assert (c.kernel_runs, sl.kernel_runs) == (3, 4)
         for rewriter in (sl, c):
-            assert resolved(rewriter, s, rewriter._successors(s)) == reference_expand(rewriter.presentation, s, None)
+            assert resolved(rewriter, s, rewriter._successors(s)) == reference_expand(rewriter.presentation, s, math.inf)
         clear_successor_cache()
 
     def test_renamed_words_run_no_kernel(self):
@@ -720,7 +765,7 @@ class TestRewriter:
         entry = e._successors(xy)
         assert (e.misses, e.kernel_runs) == (2, len(e._rules))
         assert renamed._successors(xy) == entry and renamed.kernel_runs == 0
-        assert resolved(e, xy, entry) == reference_expand(SIGMA_E, xy, None)
+        assert resolved(e, xy, entry) == reference_expand(SIGMA_E, xy, math.inf)
         clear_successor_cache()
 
     def test_caps_interplay_as_with_a_fresh_registry(self):
