@@ -47,7 +47,10 @@ Every exact operation wraps one search, explore: derive stops it at its target
 (and skips it for two words of different content, which no content-balanced
 rule connects), enumerate_class reads its closure, and class_closure_verify
 (with isoterm_exact on top) reads successor sets for closure and runs explore
-for connectivity.
+for connectivity.  A caller that can use only a complete class asks explore
+with complete_only, which gives up the first time the search prunes (a memo
+entry with a cap, a successor past the length cap, or the state cap): a
+closure that prunes never saturates, so the rest of the search is wasted.
 """
 
 from __future__ import annotations
@@ -768,6 +771,8 @@ def explore(
     start: Word,
     bounds: SearchBounds | None = None,
     stop_at: Word | None = None,
+    *,
+    complete_only: bool = False,
 ) -> Exploration:
     """Breadth-first search over one-step successors from start.
 
@@ -780,6 +785,13 @@ def explore(
     ones, and those are pruned by their length.  An unset length cap is
     default_bounds(sigma, start, stop_at)'s, and the Exploration records the
     caps used.  Every exact operation of this module wraps this search.
+
+    With complete_only, the search gives up the first time it prunes: at a
+    word whose memo entry has a cap, before taking any of its successors, or
+    at a new successor longer than the length cap or past the state cap.  It
+    then returns the words visited so far, unsaturated, which are a prefix of
+    the full search's.  A closure that saturates never prunes, so it comes
+    back whole.
     """
     rewriter = Rewriter.of(sigma)
     bounds = bounds or SearchBounds()
@@ -807,14 +819,20 @@ def explore(
             successors, overflow_cap = rewriter._successors(p, limit)
             if overflow_cap is not None:
                 pruned = True
+                if complete_only:
+                    return Exploration(start, bounds, parents, False, alphabet, rewriter._rule_of)
             for q, link in successors.items():
                 if q in parents:
                     continue
                 if len(q) > max_length:
                     pruned = True
+                    if complete_only:
+                        return Exploration(start, bounds, parents, False, alphabet, rewriter._rule_of)
                     continue
                 if len(parents) >= max_states:
                     pruned = True
+                    if complete_only:
+                        return Exploration(start, bounds, parents, False, alphabet, rewriter._rule_of)
                     continue
                 parents[q] = (p, link)
                 next_frontier.append(q)

@@ -11,7 +11,9 @@ built-in that satisfies every identity of the presentation lies in its
 variety (Birkhoff), so when such a built-in fails u = v no derivation of
 u = v exists, and the answer is Unknown (bounds) without any search.
 Composite handles evaluate their parts in the order given and stop at the
-first part whose answer decides the composite.
+first part whose answer decides the composite.  A join isoterm reads only
+complete part classes, so the search for a part's class is abandoned at its
+first pruned successor.
 
 Built-in deciders and their canonical invariants:
 
@@ -38,7 +40,7 @@ from .rewriting import (
     Presentation,
     SearchBounds,
     derive,
-    enumerate_class,
+    explore,
     isoterm_exact,
 )
 from .words import Variable, Word, content, fin, ini
@@ -266,7 +268,9 @@ def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = No
     of the component classes, so a finite complete class from one presented
     component, filtered by the other components' satisfaction answers,
     decides the join.  Components are asked in order, and a meet stops at
-    the first No, as does each filter of a join.
+    the first No, as does each filter of a join.  A class that would not be
+    complete within bounds is abandoned at its first pruned successor
+    (explore's complete_only).
     """
     if isinstance(handle, Builtin):
         return Verdict.YES if len(w) <= _BUILTINS[handle.kind].longest_isoterm else Verdict.NO
@@ -278,12 +282,12 @@ def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = No
         for index, part in enumerate(handle.parts):
             if not isinstance(part, Presented):
                 continue
-            enumeration = enumerate_class(w, part.presentation, bounds)
-            if not enumeration.complete:
+            closure = explore(part.presentation, w, bounds, complete_only=True)
+            if not closure.saturated:
                 continue
             others = [p for k, p in enumerate(handle.parts) if k != index]
             undecided = False
-            for other_word in sorted(enumeration.words, key=lambda x: x.key):
+            for other_word in sorted(closure.words, key=lambda x: x.key):
                 if other_word == w:
                     continue
                 verdict = _every_part(satisfies(other, Identity(w, other_word), bounds) for other in others)

@@ -302,6 +302,29 @@ def reference_explore(sigma, start, bounds, stop_at=None):
     return parents, not frontier and not pruned
 
 
+def reference_first_pruning(sigma, start, bounds):
+    """Where reference_explore first prunes: how many words it has expanded
+    then, the last of them, and its words in insertion order when it began
+    expanding that word and when it pruned; None if it prunes nothing."""
+    parents = {start: None}
+    frontier = [start]
+    expanded = 0
+    for _ in range(bounds.max_depth):
+        reached = []
+        for p in frontier:
+            expanded += 1
+            before = list(parents)
+            for q in sorted(one_step_successors(p, sigma), key=lambda w: w.key):
+                if q in parents:
+                    continue
+                if len(q) > bounds.max_word_length or len(parents) >= bounds.max_states:
+                    return expanded, p, before, list(parents)
+                parents[q] = p
+                reached.append(q)
+        frontier = sorted(reached, key=lambda w: w.key)
+    return None
+
+
 def reference_certificate(parents, start, target):
     steps = []
     cursor = target
@@ -603,6 +626,43 @@ class TestSuccessorOracle:
                         assert exploration.certificate_to(target) == expected, (sigma, start, stop_at, max_states)
                     capped += len(parents) == max_states < len(reached)
         assert capped >= 100, capped
+
+    def test_complete_only_gives_up_exactly(self):
+        # complete_only changes no saturated closure; otherwise it stops while
+        # expanding the first word whose successors prune, holding a prefix of
+        # the full search's words: none of that word's successors when its
+        # memo entry has a cap, else those before the first pruned one
+        rng = random.Random(6143)
+        bounds_list = (SearchBounds(4, 6), SearchBounds(2, 6), SearchBounds(6, 4, 12))
+        saturated = gave_up = at_cap = 0
+        for _ in range(40):
+            sigma = self.random_system(rng)
+            rewriter = Rewriter.of(sigma)
+            for _ in range(3):
+                start = Word(rng.choices(self.NAMES, k=rng.randint(1, 4)))
+                for bounds in bounds_list:
+                    full = explore(sigma, start, bounds)
+                    calls = rewriter.calls
+                    early = explore(sigma, start, bounds, complete_only=True)
+                    expanded = rewriter.calls - calls
+                    # the reference's own lookups replace capped entries
+                    memo, owner = rewriting._MEMO, rewriter._owner
+                    caps = {s: memo[owner, s].cap for s in early.parents if (owner, s) in memo}
+                    first_pruning = reference_first_pruning(sigma, start, bounds)
+                    assert early.saturated == full.saturated, (sigma, start, bounds)
+                    if first_pruning is None:
+                        assert list(early.parents.items()) == list(full.parents.items())
+                        saturated += full.saturated
+                        continue
+                    keys = list(early.parents)
+                    assert keys == list(full.parents)[: len(keys)], (sigma, start, bounds)
+                    last, p, before, after = first_pruning
+                    capped = caps[rewriting._encode(p)[1]] is not None
+                    assert expanded == last, (sigma, start, bounds)
+                    assert [rewriting._word(early.alphabet, s) for s in keys] == (before if capped else after)
+                    gave_up += 1
+                    at_cap += capped
+        assert saturated >= 20 and at_cap >= 100 and gave_up - at_cap >= 50, (saturated, gave_up, at_cap)
 
 
 def memo_entries():

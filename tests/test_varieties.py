@@ -305,6 +305,16 @@ class TestIsoterms:
         join = Join((Presented(SIGMA_X1), Presented(Presentation.of("x = x^3"))))
         assert isoterm_for(join, parse_word("xyxyx")) is Verdict.UNKNOWN_COMPOSITION
 
+    def test_join_abandons_an_incomplete_class_at_its_first_pruning(self):
+        # xyyx has a successor longer than 6 under each part, so neither class
+        # is complete within the caps, and each search ends at its first word
+        parts = (Presented(Presentation.of("xy = xyx")), Presented(Presentation.of("xy = yxy")))
+        rewriters = [Rewriter.of(part.presentation) for part in parts]
+        calls = [rewriter.calls for rewriter in rewriters]
+        verdict = isoterm_for(Join(parts), parse_word("xyyx"), SearchBounds(6, 6))
+        assert verdict is Verdict.UNKNOWN_COMPOSITION
+        assert [rewriter.calls - before for rewriter, before in zip(rewriters, calls)] == [1, 1]
+
 
 class TestHandleExpressions:
     def test_builtin_names(self):
