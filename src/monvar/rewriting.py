@@ -15,17 +15,18 @@ use the same variable set.  A variable private to one side admits arbitrary
 images, which makes the successor set of a word infinite; such systems are
 rejected with ContentUnbalancedError instead of being silently truncated.
 
-All searches go through one Rewriter per presentation, which Rewriter.of
-shares between equal presentations.  A Rewriter holds the compiled rules (both
+All searches go through one Rewriter per presentation, which the
+Presentation object holds.  A Rewriter holds the compiled rules (both
 orientations) and its memo counters.  Each rule runs as a kernel: Python
 source generated for the rule's shape (its variable slots and their runs) and
 compiled once, which matches by nested loops and measures every successor
 before building it.  A successor longer than the length cap is never built;
 it only marks the entry as capped.
 
-Successors are memoised in one dict keyed by (owner, word code), and every
-entry has one form: a dict from each successor code other than the word's
-own to its link, and a cap.  A rule shape's entry holds what its kernel gave
+Successors are memoised in one dict keyed by (owner, word code), the owner
+being a rewriter's rule shapes in order or one rule's shape, and every entry
+has one form: a dict from each successor code other than the word's own to
+its link, and a cap.  A rule shape's entry holds what its kernel gave
 the word, for every presentation with a rule of that shape, and a rewriter's
 the union of its rules' matches in shortlex order.  Rewriting commutes with
 renaming letters, so shape entries are keyed by the word's first-occurrence
@@ -43,14 +44,15 @@ order of its content, so shortlex order is string order; Word stays the
 public type, and a RewriteStep is built only for a certificate or for
 one_step_successors.
 
-Every exact operation wraps one search, explore: derive stops it at its target
-(and skips it for two words of different content, which no content-balanced
-rule connects), enumerate_class reads its closure, and class_closure_verify
-(with isoterm_exact on top) reads successor sets for closure and runs explore
-for connectivity.  A caller that can use only a complete class asks explore
-with complete_only, which gives up the first time the search prunes (a memo
-entry with a cap, a successor past the length cap, or the state cap): a
-closure that prunes never saturates, so the rest of the search is wasted.
+isoterm_exact reads one memo entry, and every other exact operation wraps one
+search, explore: derive stops it at its target (and skips it for two words of
+different content, which no content-balanced rule connects), enumerate_class
+reads its closure, and class_closure_verify reads successor sets for closure
+and runs explore for connectivity.  A caller that can use only a complete
+class asks explore with complete_only, which gives up the first time the
+search prunes (a memo entry with a cap, a successor past the length cap, or
+the state cap): a closure that prunes never saturates, so the rest of the
+search is wasted.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ import re
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import count, groupby
+from functools import cached_property, lru_cache
+from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -179,6 +181,11 @@ class Presentation:
         for ident in self.identities:
             if not ident.content_balanced:
                 raise ContentUnbalancedError(ident)
+
+    @cached_property
+    def _rewriter(self) -> "Rewriter":
+        """Built on first use; an unbalanced system raises and caches nothing."""
+        return Rewriter(self)
 
     def __or__(self, other: "Presentation") -> "Presentation":
         return Presentation(self.identities + other.identities)
@@ -384,12 +391,12 @@ def _times(name: str, repeat: int) -> str:
 
 
 @lru_cache(maxsize=1024)
-def _kernel(runs: tuple, dst: tuple | None):
-    """The compiled kernel of a pattern given as runs by _pattern.
+def _kernel(runs: tuple, dst: tuple):
+    """The compiled kernel of a pattern given as runs by _pattern, rewritten
+    to dst, the (slot, repeat) runs of the replacing side.
 
-    With dst, the (slot, repeat) runs of the replacing side, it is
-    kernel(s, limit, found, shape, over) -> over, for a limit of at least
-    len(s).  For every start i in ascending order and every match of
+    It is kernel(s, limit, found, shape, over) -> over, for a limit of at
+    least len(s).  For every start i in ascending order and every match of
     s[i:end] it first computes the successor's length, n plus each slot's
     (dst count - src count) times its image length.  A successor within
     limit is built and, if new to found, recorded as found[q] = (i, end,
@@ -398,8 +405,7 @@ def _kernel(runs: tuple, dst: tuple | None):
     images back out of s.  A longer one is never built and only sets the
     returned flag.  A loop skips the empty image of a variable whose other
     letters read alike on both sides, since every such binding rewrites s to
-    itself: the caller records s before any kernel runs.  Without dst it is
-    kernel(s) -> the image lengths of every match of the whole of s.
+    itself: the caller records s before any kernel runs.
     """
     levels: list[tuple[int, list[tuple[int, int]]]] = []  # per slot: first repeat, later runs
     occurrences: list[int] = []
@@ -418,12 +424,10 @@ def _kernel(runs: tuple, dst: tuple | None):
         ahead[k][k] += repeat
         for j, r in later:
             ahead[k][j] += r
-    expand = dst is not None
-    if expand:
-        growth = [-count for count in occurrences]
-        for j, r in dst:
-            growth[j] += r
-        src = [(slot, repeat) for slot, repeat, _, _ in runs]
+    growth = [-count for count in occurrences]
+    for j, r in dst:
+        growth[j] += r
+    src = [(slot, repeat) for slot, repeat, _, _ in runs]
     lengths = ", ".join(f"l{j}" for j in range(m)) + ("," if m == 1 else "")
     lines: list[str] = []
 
@@ -436,32 +440,25 @@ def _kernel(runs: tuple, dst: tuple | None):
     g = "n"
     for c, low in enumerate(range(0, m, _NEST) if m else [0]):
         high = min(low + _NEST, m)
-        if c == 0 and expand:
+        if c == 0:
             emit(0, "def k0(s, limit, found, shape, over):")
             emit(1, "n = len(s)")
             emit(1, "for i in range(n + 1):")
             emit(2, "h = s[:i]")
             emit(2, "a0 = i")
             depth = 2
-        elif c == 0:
-            emit(0, "def k0(s):")
-            emit(1, "n = len(s)")
-            emit(1, "out = []")
-            emit(1, "a0 = 0")
-            depth = 1
         else:
-            head = f"s, n, limit, found, shape, i, h, over, g{low}, " if expand else "s, n, out, "
-            emit(0, f"def k{c}({head}{carried(low)}a{low}):")
+            emit(0, f"def k{c}(s, n, limit, found, shape, i, h, over, g{low}, {carried(low)}a{low}):")
             g, depth = f"g{low}", 1
         for k in range(low, high):
             repeat, later = levels[k]
             room = f"n - a{k}" + "".join(f" - {_times(f'l{j}', ahead[k][j])}" for j in range(k) if ahead[k][j])
             if occurrences[k] > 1:
                 room = f"({room}) // {occurrences[k]}"
-            skip = expand and _drop(src, k) == _drop(dst, k)
+            skip = _drop(src, k) == _drop(dst, k)
             emit(depth, f"for l{k} in range({int(skip)}, {room} + 1):")
             depth += 1
-            if expand and growth[k]:
+            if growth[k]:
                 emit(depth, f"g{k + 1} = {g} {'+' if growth[k] > 0 else '-'} {_times(f'l{k}', abs(growth[k]))}")
                 g = f"g{k + 1}"
                 if growth[k] > 0 and min(growth[k:]) >= 0:
@@ -475,9 +472,8 @@ def _kernel(runs: tuple, dst: tuple | None):
                 emit(depth + 1, "continue")
                 emit(depth, f"a{k + 1} += {_times(f'l{j}', r)}")
         if high < m:
-            call = f"over = k{c + 1}(s, n, limit, found, shape, i, h, over, {g}, " if expand else f"k{c + 1}(s, n, out, "
-            emit(depth, f"{call}{carried(high)}a{high})")
-        elif expand:
+            emit(depth, f"over = k{c + 1}(s, n, limit, found, shape, i, h, over, {g}, {carried(high)}a{high})")
+        else:
             if any(growth):
                 emit(depth, f"if {g} > limit:")
                 emit(depth + 1, "over = True")
@@ -487,13 +483,7 @@ def _kernel(runs: tuple, dst: tuple | None):
             emit(depth, f'q = "".join((h, {parts}s[a{m}:]))')
             emit(depth, "if q not in found:")
             emit(depth + 1, f"found[q] = (i, a{m}, shape, ({lengths}))")
-        else:
-            emit(depth, f"if a{m} == n:")
-            emit(depth + 1, f"out.append(({lengths}))")
-        if expand:
-            emit(1, "return over")
-        elif c == 0:
-            emit(1, "return out")
+        emit(1, "return over")
     namespace: dict = {}
     exec(compile("\n".join(lines) + "\n", "<monvar kernel>", "exec"), namespace)
     return namespace["k0"]
@@ -543,16 +533,15 @@ class _Entry(NamedTuple):
 
 
 # Every memo entry is an _Entry in _MEMO under (owner, word code): a
-# rewriter's under its owner number and the word's own code, a rule shape's
-# under the shape and the code renamed by first occurrence.  They count one
-# per word and one per successor held, at most MAX_MEMO_ENTRIES in all; past
-# that the oldest entry (the dict's first) leaves first, and a rebuilt entry
-# counts as new.
+# rewriter's under the repr of its rule shapes in order (a str) and the
+# word's own code, a rule shape's under the shape (a tuple) and the code
+# renamed by first occurrence.  Every rewriter with the same shapes in the
+# same order reads the same entries.  They count one per word and one per
+# successor held, at most MAX_MEMO_ENTRIES in all; past that the oldest entry
+# (the dict's first) leaves first, and a rebuilt entry counts as new.
 MAX_MEMO_ENTRIES = 1 << 20
-_MAX_REWRITERS = 256
 _MEMO: dict[tuple, _Entry] = {}
 _memo_entries = 0
-_owners = count()
 
 
 def _memoise(key: tuple, entry: _Entry) -> None:
@@ -569,11 +558,11 @@ def _memoise(key: tuple, entry: _Entry) -> None:
 
 
 def clear_successor_cache() -> None:
-    """Empty the memo and drop every shared rewriter."""
+    """Empty the memo.  Every rewriter stays with its presentation, counters
+    and all, and expands each word afresh."""
     global _memo_entries
     _MEMO.clear()
     _memo_entries = 0
-    Rewriter.of.cache_clear()
 
 
 def _step(rules: dict[tuple, _Rule], alphabet: tuple[Variable, ...], source: str, link: tuple) -> RewriteStep:
@@ -590,16 +579,18 @@ class Rewriter:
     """The rewriting engine of one presentation: its compiled rules and its
     memo counters.
 
-    Get it with Rewriter.of(sigma), which returns one shared instance for all
-    equal presentations and keeps the _MAX_REWRITERS most recently used.
-    Each rule carries the kernel compiled for its shape, shared by every rule
+    Get it with Rewriter.of(sigma): each Presentation object builds its own
+    once and keeps it, so its counters count that object's lookups.  Each
+    rule carries the kernel compiled for its shape, shared by every rule
     of that shape in any presentation; a kernel computes each match's
     successor length first and builds only the successors within the cap.
 
-    Its memo entries, keyed by its own owner number and a word code, hold
-    the union of the entries its rules' shapes hold for the word's
+    Its memo entries, keyed by its rule shapes in order and a word code,
+    hold the union of the entries its rules' shapes hold for the word's
     first-occurrence renaming, renamed back to the word's letters, in
-    shortlex order.  A link's RewriteStep is built on demand through this
+    shortlex order.  They depend on nothing else, so every rewriter with the
+    same shapes in the same order reads them: an equal presentation's, or
+    that of a renaming that keeps each identity's orientation.  A link's RewriteStep is built on demand through this
     rewriter's rule of the link's shape, slicing each image out of the word.
     """
 
@@ -608,17 +599,16 @@ class Rewriter:
         self.presentation = sigma
         self._rules = _compile(sigma)
         self._rule_of = {rule.shape: rule for rule in self._rules}
-        self._owner = next(_owners)
+        self._owner = repr(tuple(rule.shape for rule in self._rules))
         self._calls = 0
         self._misses = 0
         self._kernel_runs = 0
 
-    @classmethod
-    @lru_cache(maxsize=_MAX_REWRITERS)
-    def of(cls, sigma: Presentation) -> "Rewriter":
-        """The shared rewriter of sigma; raises ContentUnbalancedError for a
-        system that is not content-balanced."""
-        return cls(sigma)
+    @staticmethod
+    def of(sigma: Presentation) -> "Rewriter":
+        """The rewriter of sigma; raises ContentUnbalancedError for a system
+        that is not content-balanced."""
+        return sigma._rewriter
 
     @property
     def calls(self) -> int:
@@ -695,13 +685,29 @@ class Rewriter:
 
 
 def match_pattern(pattern: Word, target: Word) -> set[Substitution]:
-    """All substitutions with domain content(pattern) mapping pattern to target."""
+    """All substitutions with domain content(pattern) mapping pattern to
+    target, by depth-first search over the pattern's runs."""
     runs, variables = _pattern(pattern.letters)
     alphabet, s = _encode(target)
-    return {
-        Substitution({v: _word(alphabet, image) for v, image in zip(variables, _images(runs, s, 0, lengths))})
-        for lengths in _kernel(runs, None)(s)
-    }
+    n = len(s)
+    matches = set()
+    stack = [(0, 0, ())]  # (next run, where it starts in s, images by slot so far)
+    while stack:
+        k, i, images = stack.pop()
+        for slot, repeat, first, occurrences in runs[k:]:
+            if first:  # every image length that leaves room for its later letters
+                for length in range((n - i) // occurrences + 1):
+                    image = s[i : i + length]
+                    if s.startswith(image * repeat, i):
+                        stack.append((k + 1, i + repeat * length, (*images, image)))
+                break
+            if not s.startswith(images[slot] * repeat, i):
+                break
+            k, i = k + 1, i + repeat * len(images[slot])
+        else:
+            if i == n:
+                matches.add(Substitution({v: _word(alphabet, image) for v, image in zip(variables, images)}))
+    return matches
 
 
 def one_step_successors(p: Word, sigma: Presentation) -> dict[Word, RewriteStep]:
@@ -940,8 +946,12 @@ def class_closure_verify(candidate: set[Word] | frozenset[Word], w: Word, sigma:
 
 
 def isoterm_exact(w: Word, sigma: Presentation) -> bool:
-    """Whether the congruence class of w for the presented variety is {w}."""
-    return isinstance(class_closure_verify(frozenset([w]), w, sigma), ExactClass)
+    """Whether the congruence class of w for the presented variety is {w}:
+    exactly when w has no one-step successor other than itself, which one
+    memo entry tells, capped at len(w) (a cap means a longer one exists)."""
+    _, s = _encode(w)
+    successors, cap = Rewriter.of(sigma)._successors(s, max(1, len(s)))
+    return not successors and cap is None
 
 
 def enumerate_class(w: Word, sigma: Presentation, bounds: SearchBounds | None = None) -> ClassEnumeration:

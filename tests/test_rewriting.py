@@ -109,6 +109,11 @@ class TestMatchPattern:
         # xy goes to one variable, or x and y to two in order: 25 + 300 ways
         assert len(matches) == 325
         assert all(subst.apply(pattern) == target for subst in matches)
+        # (xy)^1500 against itself: x, y to x, y, or one of them to xy and
+        # the other to 1
+        long = parse_word("xy" * 1500)
+        matches = match_pattern(long, long)
+        assert len(matches) == 3 and all(subst.apply(long) == long for subst in matches)
 
     def test_against_brute_force(self):
         rng = random.Random(2024)
@@ -509,10 +514,11 @@ class TestSuccessorOracle:
                         if fill != "cold":
                             Rewriter.of(b)._expand(s, fill)
                         rewriter = Rewriter.of(a)
+                        runs = rewriter.kernel_runs
                         assert resolved(rewriter, s, rewriter._expand(s, cap)) == expected, (a, b, word, cap, fill)
                         if fill == math.inf:
                             # complete matches serve every cap: only a's own shapes run
-                            assert rewriter.kernel_runs == len(rewriter._rules) - shared
+                            assert rewriter.kernel_runs - runs == len(rewriter._rules) - shared
                             warm_checks += 1
                 # certificates are the same text whether or not b filled the memo
                 bounds = SearchBounds(6, 4, 100)
@@ -578,7 +584,7 @@ class TestSuccessorOracle:
         rewriters = shapes = capped = 0
         for (owner, s), entry in rewriting._MEMO.items():
             assert isinstance(entry.successors, dict) and s not in entry.successors, (owner, s)
-            if isinstance(owner, int):
+            if isinstance(owner, str):  # a rewriter's rule shapes, not one shape
                 codes = list(entry.successors)
                 assert codes == sorted(codes, key=lambda q: (len(q), q)), (owner, s)
                 rewriters += 1
@@ -676,27 +682,40 @@ def memoised(rewriter):
 
 
 class TestRewriter:
-    def test_equal_presentations_share_one_rewriter(self):
-        shared = Rewriter.of(Presentation.of("xy = yx", "x^2 = x"))
-        assert Rewriter.of(Presentation.of("yx = xy", "x = x^2")) is shared
+    def test_equal_presentations_share_memo_entries(self):
+        # each presentation object has its own rewriter, and an equal one
+        # reads the entries the first one made
         clear_successor_cache()
-        assert Rewriter.of(Presentation.of("xy = yx", "x^2 = x")) is not shared
+        first = Presentation.of("xy = yx", "x^2 = x")
+        second = Presentation.of("yx = xy", "x = x^2")
+        assert Rewriter.of(first) is Rewriter.of(first) and Rewriter.of(second) is not Rewriter.of(first)
+        bounds = SearchBounds(4, 6)
+        explored = explore(first, parse_word("xyx"), bounds)
+        assert Rewriter.of(first).misses > 0
+        assert explore(second, parse_word("xyx"), bounds) == explored
+        rewriter = Rewriter.of(second)
+        assert (rewriter.calls, rewriter.misses, rewriter.kernel_runs) == (Rewriter.of(first).calls, 0, 0)
+        clear_successor_cache()
 
     def test_unbalanced_system_has_no_rewriter(self):
-        with pytest.raises(ContentUnbalancedError):
-            Rewriter.of(Presentation.of("xy = x"))
+        # every call raises, so nothing is cached for the system
+        unbalanced = Presentation.of("xy = x")
+        for _ in range(2):
+            with pytest.raises(ContentUnbalancedError):
+                Rewriter.of(unbalanced)
 
     def test_counters(self):
         clear_successor_cache()
-        rewriter = Rewriter.of(SIGMA_X1)
+        sigma = Presentation(SIGMA_X1.identities)  # a fresh object, so a fresh rewriter
+        rewriter = Rewriter.of(sigma)
         assert (rewriter.calls, rewriter.hits, rewriter.misses, memoised(rewriter)) == (0, 0, 0, 0)
-        first = explore(SIGMA_X1, parse_word("xyxyx"))
+        first = explore(sigma, parse_word("xyxyx"))
         # a saturated closure expands each of its words once
         assert first.saturated and len(first.parents) == 2
         assert (rewriter.calls, rewriter.hits, rewriter.misses, memoised(rewriter)) == (2, 0, 2, 2)
-        explore(SIGMA_X1, parse_word("xyxyx"))
+        explore(sigma, parse_word("xyxyx"))
         assert (rewriter.calls, rewriter.hits, rewriter.misses, memoised(rewriter)) == (4, 2, 2, 2)
-        assert isoterm_exact(parse_word("yxyxx"), SIGMA_X1) is False
+        assert isoterm_exact(parse_word("yxyxx"), sigma) is False
         assert (rewriter.calls, rewriter.hits, rewriter.misses) == (5, 3, 2)
 
     def test_memo_entry_budget_is_shared_and_kept(self, monkeypatch):
@@ -714,25 +733,6 @@ class TestRewriter:
         assert not rewriting._MEMO and rewriting._memo_entries == 0
         monkeypatch.undo()
         assert capped == [explore(POWER, parse_word("x"), bounds), explore(SIGMA_E, parse_word("xyxy"), bounds)]
-
-    def test_registry_drops_its_oldest_rewriter(self):
-        clear_successor_cache()
-        assert Rewriter.of.cache_info().maxsize == rewriting._MAX_REWRITERS
-        first = Rewriter.of(Presentation.of("x = x^2"))
-        for k in range(3, 3 + rewriting._MAX_REWRITERS):
-            Rewriter.of(Presentation.of(f"x = x^{k}"))
-        assert Rewriter.of(Presentation.of("x = x^2")) is not first
-        clear_successor_cache()
-        # touching a rewriter makes it the most recently used
-        first = Rewriter.of(Presentation.of("x = x^2"))
-        second = Rewriter.of(Presentation.of("x = x^3"))
-        for k in range(4, 2 + rewriting._MAX_REWRITERS):
-            Rewriter.of(Presentation.of(f"x = x^{k}"))
-        assert Rewriter.of(Presentation.of("x = x^2")) is first
-        Rewriter.of(Presentation.of(f"x = x^{2 + rewriting._MAX_REWRITERS}"))
-        assert Rewriter.of(Presentation.of("x = x^2")) is first
-        assert Rewriter.of(Presentation.of("x = x^3")) is not second
-        clear_successor_cache()
 
     def test_memo_budget_evicts_the_oldest_entries(self, monkeypatch):
         bounds = SearchBounds(8, 8)
@@ -758,24 +758,21 @@ class TestRewriter:
         clear_successor_cache()
 
     def test_dropping_a_rewriter_evicts_no_memo_entry(self):
+        # a rewriter goes with its presentation object, and its entries stay:
+        # after 256 other presentations, an equal one rebuilt reads them all
         clear_successor_cache()
         bounds = SearchBounds(8, 8)
-        dropped = Rewriter.of(POWER)
-        explore(POWER, parse_word("x"), bounds)
+        dropped = Presentation.of("x = x^3")
+        explored = explore(dropped, parse_word("x"), bounds)
+        assert Rewriter.of(dropped).misses > 0
+        del dropped
         entries = rewriting._memo_entries
-        for k in range(3, 3 + rewriting._MAX_REWRITERS):
+        for k in range(3, 3 + 256):
             Rewriter.of(Presentation.of(f"x^2 = x^{k}"))
-        renewed = Rewriter.of(POWER)
-        assert renewed is not dropped and rewriting._memo_entries == entries
-        # the new rewriter reads none of the dropped one's entries, but every
-        # match of its rules' shapes is still memoised, so it runs no kernel
-        explore(POWER, parse_word("x"), bounds)
-        assert (renewed.misses, renewed.kernel_runs) == (dropped.misses, 0)
-        # the dropped rewriter is still served from its own entries
-        misses = dropped.misses
-        _, code = rewriting._encode(parse_word("x"))
-        assert "\0" * 3 in dropped._successors(code, 8).successors
-        assert dropped.misses == misses
+        assert rewriting._memo_entries == entries
+        rebuilt = Presentation.of("x = x^3")
+        assert explore(rebuilt, parse_word("x"), bounds) == explored
+        assert (Rewriter.of(rebuilt).misses, Rewriter.of(rebuilt).kernel_runs) == (0, 0)
         clear_successor_cache()
 
     def test_rules_of_one_shape_share_a_kernel(self):
@@ -793,7 +790,8 @@ class TestRewriter:
     def test_kernel_runs_skip_shapes_another_rewriter_matched(self):
         clear_successor_cache()
         sl = Rewriter.of(Presentation.of("x^2 = x", "xy = yx"))
-        c = Rewriter.of(reference_presentation(BuiltinKind.C))  # {x^2 = x^3, xy = yx}
+        # a fresh copy of C's basis {x^2 = x^3, xy = yx}, so its counters start at 0
+        c = Rewriter.of(Presentation(reference_presentation(BuiltinKind.C).identities))
         _, s = rewriting._encode(parse_word("x^2y"))
         sl._successors(s, 3)
         assert sl.kernel_runs == len(sl._rules) == 3
@@ -814,17 +812,22 @@ class TestRewriter:
     def test_renamed_words_run_no_kernel(self):
         # yx^2y and xy^2x rename to each other, so once yx^2y's successors are
         # built, xy^2x's run no kernel, in the same rewriter or another one
-        # whose rules have the same shapes
+        # whose rules have the same shapes; one whose rules have them in the
+        # same order (renaming x < y to t < z keeps every orientation) reads
+        # the same entries, so it makes no miss either
         clear_successor_cache()
-        e = Rewriter.of(SIGMA_E)
-        renamed = Rewriter.of(Presentation.of("z^2 = z^3", "z^2t = ztz", "z^2t^2 = t^2z^2"))
+        e = Rewriter.of(Presentation(SIGMA_E.identities))  # a fresh object, so a fresh rewriter
+        renamed = Rewriter.of(Presentation.of("t^2 = t^3", "t^2z = tzt", "t^2z^2 = z^2t^2"))
+        reordered = Rewriter.of(Presentation.of("z^2 = z^3", "z^2t = ztz", "z^2t^2 = t^2z^2"))
+        assert renamed._owner == e._owner != reordered._owner
         _, yx = rewriting._encode(parse_word("yx^2y"))
         _, xy = rewriting._encode(parse_word("xy^2x"))
         e._successors(yx)
         assert e.kernel_runs == len(e._rules)
         entry = e._successors(xy)
         assert (e.misses, e.kernel_runs) == (2, len(e._rules))
-        assert renamed._successors(xy) == entry and renamed.kernel_runs == 0
+        assert renamed._successors(xy) == entry and (renamed.misses, renamed.kernel_runs) == (0, 0)
+        assert reordered._successors(xy) == entry and (reordered.misses, reordered.kernel_runs) == (1, 0)
         assert resolved(e, xy, entry) == reference_expand(SIGMA_E, xy, math.inf)
         clear_successor_cache()
 
@@ -895,9 +898,10 @@ class TestDerive:
     def test_content_mismatch_is_none_without_a_search(self):
         clear_successor_cache()
         rewriter = Rewriter.of(SIGMA_E)
+        calls = rewriter.calls
         assert derive(SIGMA_E, parse_word("x"), parse_word("xy")) is None
         assert derive(SIGMA_E, parse_word("xy^2"), parse_word("x^2"), SearchBounds(8, 8)) is None
-        assert rewriter.calls == 0
+        assert rewriter.calls == calls
         with pytest.raises(ContentUnbalancedError):
             derive(Presentation.of("xy = x"), parse_word("x"), parse_word("xy"))
 
