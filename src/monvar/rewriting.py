@@ -39,10 +39,12 @@ within the cap it was built under, and keeps that cap only when a longer
 successor exists.  An entry that left out nothing is complete and serves
 every cap; a request for a larger cap builds the entry again.  Past the
 budget the oldest entry leaves first, and a rebuilt entry counts as new.
-Internally a word is a str with one character per letter, coded in the name
-order of its content, so shortlex order is string order; Word stays the
-public type, and a RewriteStep is built only for a certificate or for
-one_step_successors.
+Entries are hash-consed: each holds one shared object for every successor
+code and link it stores, from a table that the same budget bounds, so a
+value that recurs across entries is stored once.  Internally a word is a str
+with one character per letter, coded in the name order of its content, so
+shortlex order is string order; Word stays the public type, and a
+RewriteStep is built only for a certificate or for one_step_successors.
 
 isoterm_exact reads one memo entry, and every other exact operation wraps one
 search, explore: derive stops it at its target (and skips it for two words of
@@ -526,7 +528,9 @@ class _Entry(NamedTuple):
     successor is there, and then the entry serves every request; otherwise
     the word has a successor longer than cap, and only those no longer than
     cap are held.  A complete entry may hold successors longer than a
-    request's cap."""
+    request's cap.  Every code and link in it is the object _SHARED held
+    for that value when the entry was filed, so entries filed between two
+    emptyings of _SHARED hold equal values as one object."""
 
     successors: dict[str, tuple]
     cap: int | None
@@ -538,10 +542,21 @@ class _Entry(NamedTuple):
 # renamed by first occurrence.  Every rewriter with the same shapes in the
 # same order reads the same entries.  They count one per word and one per
 # successor held, at most MAX_MEMO_ENTRIES in all; past that the oldest entry
-# (the dict's first) leaves first, and a rebuilt entry counts as new.
+# (the dict's first) leaves first, and a rebuilt entry counts as new.  Each
+# successor code and link an entry holds is _SHARED's object for its value,
+# the first one filed, so a value that recurs is stored once; _SHARED is
+# emptied before an entry is shared once it holds MAX_MEMO_ENTRIES objects.
 MAX_MEMO_ENTRIES = 1 << 20
 _MEMO: dict[tuple, _Entry] = {}
 _memo_entries = 0
+_SHARED: dict = {}
+
+
+def _shared() -> dict:
+    """_SHARED, emptied first if it has reached MAX_MEMO_ENTRIES objects."""
+    if len(_SHARED) >= MAX_MEMO_ENTRIES:
+        _SHARED.clear()
+    return _SHARED
 
 
 def _memoise(key: tuple, entry: _Entry) -> None:
@@ -558,10 +573,11 @@ def _memoise(key: tuple, entry: _Entry) -> None:
 
 
 def clear_successor_cache() -> None:
-    """Empty the memo.  Every rewriter stays with its presentation, counters
-    and all, and expands each word afresh."""
+    """Empty the memo and the shared codes and links.  Every rewriter stays
+    with its presentation, counters and all, and expands each word afresh."""
     global _memo_entries
     _MEMO.clear()
+    _SHARED.clear()
     _memo_entries = 0
 
 
@@ -596,7 +612,6 @@ class Rewriter:
 
     def __init__(self, sigma: Presentation):
         sigma.require_content_balanced()
-        self.presentation = sigma
         self._rules = _compile(sigma)
         self._rule_of = {rule.shape: rule for rule in self._rules}
         self._owner = repr(tuple(rule.shape for rule in self._rules))
@@ -667,7 +682,8 @@ class Rewriter:
         overflow = overflow or len(renamed) < len(found)
         order = list(renamed)
         _shortlex_sort(order)
-        return _Entry({q: renamed[q] for q in order}, cap if overflow else None)
+        share = _shared().setdefault
+        return _Entry({share(q, q): renamed[q] for q in order}, cap if overflow else None)
 
     def _match(self, rule: _Rule, s: str, cap: float) -> _Entry:
         """The entry of rule's shape for s within cap, s itself left out, from
@@ -679,7 +695,8 @@ class Rewriter:
             found: dict[str, tuple] = {s: ()}  # so the kernel skips s
             over = rule.kernel(s, cap, found, rule.shape, False)
             del found[s]
-            match = _Entry(found, cap if over else None)
+            share = _shared().setdefault
+            match = _Entry({share(q, q): share(link, link) for q, link in found.items()}, cap if over else None)
             _memoise(key, match)
         return match
 

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 
@@ -557,12 +559,24 @@ class TestSuccessorOracle:
         expected = [query() for query in queries]
         verdicts = {type(answer) for answer in expected}
         assert {ExactClass, NotClosed} <= verdicts and len(queries) >= 250, (verdicts, len(queries))
+        memoise, shared_sizes = rewriting._memoise, []
+
+        def memoise_checked(key, entry):
+            # the shared codes and links outgrow the budget by at most the
+            # code and link of each successor of the entry just shared
+            shared_sizes.append(len(rewriting._SHARED))
+            assert shared_sizes[-1] <= rewriting.MAX_MEMO_ENTRIES + 2 * len(entry.successors)
+            memoise(key, entry)
+
+        monkeypatch.setattr(rewriting, "_memoise", memoise_checked)
         for budget in (5, 64):
             clear_successor_cache()
+            shared_sizes.clear()
             monkeypatch.setattr(rewriting, "MAX_MEMO_ENTRIES", budget)
             for query, answer in zip(queries, expected):
                 assert query() == answer, budget
                 assert memo_entries() == rewriting._memo_entries <= budget
+            assert max(shared_sizes) >= budget, budget  # so it was emptied on the way
         clear_successor_cache()
 
     def test_every_memo_entry_has_one_form(self):
@@ -595,7 +609,16 @@ class TestSuccessorOracle:
                 capped += 1
         assert rewriting._memo_entries == sum(1 + len(entry.successors) for entry in rewriting._MEMO.values())
         assert min(rewriters, shapes, capped) >= 1000, (rewriters, shapes, capped)
+        # across all entries, equal codes are one object and so are equal
+        # links, and values recur, so sharing them saves objects
+        first: dict = {}
+        for entry in rewriting._MEMO.values():
+            for q, link in entry.successors.items():
+                assert first.setdefault(q, q) is q and first.setdefault(link, link) is link, (q, link)
+        assert len(first) < sum(len(entry.successors) for entry in rewriting._MEMO.values())
+        assert rewriting._SHARED
         clear_successor_cache()
+        assert not rewriting._MEMO and not rewriting._SHARED
 
     def test_class_and_certificates_follow_word_key_order(self):
         a, b = Variable("x2"), Variable("x10")  # Word.key puts b first
@@ -775,6 +798,21 @@ class TestRewriter:
         assert (Rewriter.of(rebuilt).misses, Rewriter.of(rebuilt).kernel_runs) == (0, 0)
         clear_successor_cache()
 
+    def test_dropped_presentation_is_freed_without_the_collector(self):
+        # a presentation and its rewriter form no reference cycle, so
+        # reference counting alone frees a dropped presentation
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            dropped = Presentation.of("x = x^3")
+            explore(dropped, parse_word("x"), SearchBounds(8, 8))
+            alive = weakref.ref(dropped)
+            del dropped
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_rules_of_one_shape_share_a_kernel(self):
         sl, c = Rewriter.of(reference_presentation(BuiltinKind.SL)), Rewriter.of(reference_presentation(BuiltinKind.C))
 
@@ -789,9 +827,10 @@ class TestRewriter:
 
     def test_kernel_runs_skip_shapes_another_rewriter_matched(self):
         clear_successor_cache()
-        sl = Rewriter.of(Presentation.of("x^2 = x", "xy = yx"))
+        sl_sigma = Presentation.of("x^2 = x", "xy = yx")
         # a fresh copy of C's basis {x^2 = x^3, xy = yx}, so its counters start at 0
-        c = Rewriter.of(Presentation(reference_presentation(BuiltinKind.C).identities))
+        c_sigma = Presentation(reference_presentation(BuiltinKind.C).identities)
+        sl, c = Rewriter.of(sl_sigma), Rewriter.of(c_sigma)
         _, s = rewriting._encode(parse_word("x^2y"))
         sl._successors(s, 3)
         assert sl.kernel_runs == len(sl._rules) == 3
@@ -805,8 +844,8 @@ class TestRewriter:
         c._successors(s)
         sl._successors(s)
         assert (c.kernel_runs, sl.kernel_runs) == (3, 4)
-        for rewriter in (sl, c):
-            assert resolved(rewriter, s, rewriter._successors(s)) == reference_expand(rewriter.presentation, s, math.inf)
+        for rewriter, sigma in ((sl, sl_sigma), (c, c_sigma)):
+            assert resolved(rewriter, s, rewriter._successors(s)) == reference_expand(sigma, s, math.inf)
         clear_successor_cache()
 
     def test_renamed_words_run_no_kernel(self):
