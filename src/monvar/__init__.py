@@ -23,7 +23,6 @@ from .words import (
 )
 from .rewriting import (
     CertificateCheck,
-    ClassEnumeration,
     ContentUnbalancedError,
     DerivationCertificate,
     ExactClass,

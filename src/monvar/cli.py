@@ -66,7 +66,7 @@ def _cmd_derive(args) -> int:
 def _cmd_class(args) -> int:
     sigma = _load_system(args.system)
     enumeration = enumerate_class(parse_word(args.word), sigma, _bounds_from_args(args))
-    status = "Complete" if enumeration.complete else "CapExceeded (partial)"
+    status = "Complete" if enumeration.saturated else "CapExceeded (partial)"
     print(f"{status}: {len(enumeration.words)} words")
     for member in sorted(enumeration.words, key=lambda w: w.key):
         print(f"  {format_word(member)}")

@@ -25,31 +25,33 @@ it only marks the entry as capped.
 
 Successors are memoised in one dict keyed by (owner, word code), the owner
 being a rewriter's rule shapes in order or one rule's shape, and every entry
-has one form: a dict from each successor code other than the word's own to
-its link, and a cap.  A rule shape's entry holds what its kernel gave
-the word, for every presentation with a rule of that shape, and a rewriter's
-the union of its rules' matches in shortlex order.  Rewriting commutes with
-renaming letters, so shape entries are keyed by the word's first-occurrence
-renaming (its k-th distinct letter becomes chr(k)), and one serves every
-word with that renaming; a successor's link records each variable's image
-length, not its text, so it holds for every renaming too, and a RewriteStep
-reads the images back out of its source.  A request caps successor length
-by a number, math.inf for all of them.  An entry holds a word's successors
-within the cap it was built under, and keeps that cap only when a longer
-successor exists.  An entry that left out nothing is complete and serves
-every cap; a request for a larger cap builds the entry again.  Past the
-budget the oldest entry leaves first, and a rebuilt entry counts as new.
-Entries are hash-consed: each holds one shared object for every successor
-code and link it stores, from a table that the same budget bounds, so a
-value that recurs across entries is stored once.  Internally a word is a str
-with one character per letter, coded in the name order of its content, so
-shortlex order is string order; Word stays the public type, and a
-RewriteStep is built only for a certificate or for one_step_successors.
+holds the codes of the word's successors other than itself, and a cap.  A
+rule shape's entry maps each code its kernel gave the word to its link, for
+every presentation with a rule of that shape; a rewriter's lists the union
+of its rules' codes in shortlex order, and names no rule.  Rewriting commutes
+with renaming letters, so shape entries are keyed by the word's
+first-occurrence renaming (its k-th distinct letter becomes chr(k)), and one
+serves every word with that renaming; a link (prefix end, suffix start,
+image lengths) records each variable's image length, not its text, so it
+holds for every renaming too.  The shape entries are the only record of how
+a successor arises: a RewriteStep is read from the first rule whose entry
+holds it, with the images sliced out of its source.  A request caps
+successor length by a number, math.inf for all of them.  An entry holds a
+word's successors within the cap it was built under, and keeps that cap
+only when a longer successor exists.  An entry that left out nothing is
+complete and serves every cap; a request for a larger cap builds the entry
+again.  Past the budget the oldest entry leaves first, and a rebuilt entry
+counts as new.  Entries are hash-consed: each holds one shared object for
+every successor code and link it stores, from a table that the same budget
+bounds, so a value that recurs across entries is stored once.  Internally a
+word is a str with one character per letter, coded in the name order of its
+content, so shortlex order is string order; Word stays the public type, and
+a RewriteStep is built only for a certificate or for one_step_successors.
 
 isoterm_exact reads one memo entry, and every other exact operation wraps one
 search, explore: derive stops it at its target (and skips it for two words of
 different content, which no content-balanced rule connects), enumerate_class
-reads its closure, and class_closure_verify reads successor sets for closure
+returns it, and class_closure_verify reads successor sets for closure
 and runs explore for connectivity.  A caller that can use only a complete
 class asks explore with complete_only, which gives up the first time the
 search prunes (a memo entry with a cap, a successor past the length cap, or
@@ -63,7 +65,7 @@ import math
 import re
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -91,7 +93,6 @@ __all__ = [
     "ExactClass",
     "NotClosed",
     "NotConnected",
-    "ClassEnumeration",
     "Exploration",
     "match_pattern",
     "one_step_successors",
@@ -301,12 +302,6 @@ class NotConnected:
     member: Word
 
 
-@dataclass(frozen=True)
-class ClassEnumeration:
-    words: frozenset[Word]
-    complete: bool
-
-
 # Internal word codes.  Inside the engine a word is a str with one character
 # per letter: the i-th variable of the word's content, in name order, is
 # chr(i).  The map preserves order, so (len(s), s) sorts exactly as Word.key
@@ -357,17 +352,6 @@ def _pattern(letters: tuple[Variable, ...]) -> tuple[tuple, tuple[Variable, ...]
     return tuple(runs), tuple(slots)
 
 
-def _images(runs: tuple, s: str, i: int, lengths: tuple[int, ...]) -> list[str]:
-    """The images, by slot, of a match of the pattern runs at s[i:] whose
-    images have the given lengths."""
-    images = []
-    for slot, repeat, first, _ in runs:
-        if first:
-            images.append(s[i : i + lengths[slot]])
-        i += repeat * lengths[slot]
-    return images
-
-
 # Rule kernels.  A rule's matcher is generated as Python source and compiled
 # once per shape: the runs of its rewritten side and the slot runs of its
 # replacing side, so rules that differ only in their variables' names share
@@ -397,17 +381,19 @@ def _kernel(runs: tuple, dst: tuple):
     """The compiled kernel of a pattern given as runs by _pattern, rewritten
     to dst, the (slot, repeat) runs of the replacing side.
 
-    It is kernel(s, limit, found, shape, over) -> over, for a limit of at
-    least len(s).  For every start i in ascending order and every match of
+    It is kernel(s, limit, found, over) -> over, for a limit of at least
+    len(s).  For every start i in ascending order and every match of
     s[i:end] it first computes the successor's length, n plus each slot's
     (dst count - src count) times its image length.  A successor within
     limit is built and, if new to found, recorded as found[q] = (i, end,
-    shape, lengths), with each slot's image length rather than its text, so
-    that one record serves every renaming of s's letters; _images slices the
-    images back out of s.  A longer one is never built and only sets the
-    returned flag.  A loop skips the empty image of a variable whose other
-    letters read alike on both sides, since every such binding rewrites s to
-    itself: the caller records s before any kernel runs.
+    lengths), with each slot's image length rather than its text, so that
+    one record serves every renaming of s's letters; Rewriter._step slices
+    the images back out of s.  A longer one is never built and only sets
+    the returned flag.  The matches within any limit come in the same order,
+    so q's record is the same under every limit of at least len(q).  A loop
+    skips the empty image of a variable whose other letters read alike on
+    both sides, since every such binding rewrites s to itself: the caller
+    records s before any kernel runs.
     """
     levels: list[tuple[int, list[tuple[int, int]]]] = []  # per slot: first repeat, later runs
     occurrences: list[int] = []
@@ -443,14 +429,14 @@ def _kernel(runs: tuple, dst: tuple):
     for c, low in enumerate(range(0, m, _NEST) if m else [0]):
         high = min(low + _NEST, m)
         if c == 0:
-            emit(0, "def k0(s, limit, found, shape, over):")
+            emit(0, "def k0(s, limit, found, over):")
             emit(1, "n = len(s)")
             emit(1, "for i in range(n + 1):")
             emit(2, "h = s[:i]")
             emit(2, "a0 = i")
             depth = 2
         else:
-            emit(0, f"def k{c}(s, n, limit, found, shape, i, h, over, g{low}, {carried(low)}a{low}):")
+            emit(0, f"def k{c}(s, n, limit, found, i, h, over, g{low}, {carried(low)}a{low}):")
             g, depth = f"g{low}", 1
         for k in range(low, high):
             repeat, later = levels[k]
@@ -474,7 +460,7 @@ def _kernel(runs: tuple, dst: tuple):
                 emit(depth + 1, "continue")
                 emit(depth, f"a{k + 1} += {_times(f'l{j}', r)}")
         if high < m:
-            emit(depth, f"over = k{c + 1}(s, n, limit, found, shape, i, h, over, {g}, {carried(high)}a{high})")
+            emit(depth, f"over = k{c + 1}(s, n, limit, found, i, h, over, {g}, {carried(high)}a{high})")
         else:
             if any(growth):
                 emit(depth, f"if {g} > limit:")
@@ -484,7 +470,7 @@ def _kernel(runs: tuple, dst: tuple):
             parts = "".join(f"{_times(f'v{j}', r)}, " for j, r in dst)
             emit(depth, f'q = "".join((h, {parts}s[a{m}:]))')
             emit(depth, "if q not in found:")
-            emit(depth + 1, f"found[q] = (i, a{m}, shape, ({lengths}))")
+            emit(depth + 1, f"found[q] = (i, a{m}, ({lengths}))")
         emit(1, "return over")
     namespace: dict = {}
     exec(compile("\n".join(lines) + "\n", "<monvar kernel>", "exec"), namespace)
@@ -521,26 +507,26 @@ def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
 
 
 class _Entry(NamedTuple):
-    """A memo entry: a word code's successor codes, never the code itself,
-    each mapped to its link (prefix end, suffix start, rule shape, image
-    lengths by slot).  A rewriter's entry lists them in shortlex order, a
-    rule shape's in the order its kernel found them.  cap is None when every
-    successor is there, and then the entry serves every request; otherwise
-    the word has a successor longer than cap, and only those no longer than
-    cap are held.  A complete entry may hold successors longer than a
-    request's cap.  Every code and link in it is the object _SHARED held
-    for that value when the entry was filed, so entries filed between two
-    emptyings of _SHARED hold equal values as one object."""
+    """A memo entry: a word code's successor codes, never the code itself.
+    A rewriter's entry is a tuple of them in shortlex order; a rule shape's
+    is a dict mapping them, in the order its kernel found them, to their
+    links (prefix end, suffix start, image lengths by slot).  cap is None
+    when every successor is there, and then the entry serves every request;
+    otherwise the word has a successor longer than cap, and only those no
+    longer than cap are held.  A complete entry may hold successors longer
+    than a request's cap.  Every code and link in it is the object _SHARED
+    held for that value when the entry was filed, so entries filed between
+    two emptyings of _SHARED hold equal values as one object."""
 
-    successors: dict[str, tuple]
+    successors: tuple[str, ...] | dict[str, tuple]
     cap: int | None
 
 
 # Every memo entry is an _Entry in _MEMO under (owner, word code): a
-# rewriter's under the repr of its rule shapes in order (a str) and the
-# word's own code, a rule shape's under the shape (a tuple) and the code
-# renamed by first occurrence.  Every rewriter with the same shapes in the
-# same order reads the same entries.  They count one per word and one per
+# rewriter's codes under the repr of its rule shapes in order (a str) and the
+# word's own code, a rule shape's links under the shape (a tuple) and the
+# code renamed by first occurrence.  Every rewriter with the same shapes in
+# the same order reads the same entries.  They count one per word and one per
 # successor held, at most MAX_MEMO_ENTRIES in all; past that the oldest entry
 # (the dict's first) leaves first, and a rebuilt entry counts as new.  Each
 # successor code and link an entry holds is _SHARED's object for its value,
@@ -581,16 +567,6 @@ def clear_successor_cache() -> None:
     _memo_entries = 0
 
 
-def _step(rules: dict[tuple, _Rule], alphabet: tuple[Variable, ...], source: str, link: tuple) -> RewriteStep:
-    """The RewriteStep behind a memoised successor link of the code source."""
-    i, end, shape, lengths = link
-    rule = rules[shape]  # the presentation's rule of the link's shape
-    images = _images(shape[0], source, i, lengths)
-    subst = Substitution({v: _word(alphabet, image) for v, image in zip(rule.variables, images)})
-    prefix, suffix = _word(alphabet, source[:i]), _word(alphabet, source[end:])
-    return RewriteStep(prefix, suffix, rule.identity_index, rule.forward, subst)
-
-
 class Rewriter:
     """The rewriting engine of one presentation: its compiled rules and its
     memo counters.
@@ -602,18 +578,18 @@ class Rewriter:
     successor length first and builds only the successors within the cap.
 
     Its memo entries, keyed by its rule shapes in order and a word code,
-    hold the union of the entries its rules' shapes hold for the word's
+    list the union of the codes its rules' shapes hold for the word's
     first-occurrence renaming, renamed back to the word's letters, in
     shortlex order.  They depend on nothing else, so every rewriter with the
     same shapes in the same order reads them: an equal presentation's, or
-    that of a renaming that keeps each identity's orientation.  A link's RewriteStep is built on demand through this
-    rewriter's rule of the link's shape, slicing each image out of the word.
+    that of a renaming that keeps each identity's orientation.  They name
+    no rule: _step reads a successor's RewriteStep from the shape entries,
+    built again if they were evicted.
     """
 
     def __init__(self, sigma: Presentation):
         sigma.require_content_balanced()
         self._rules = _compile(sigma)
-        self._rule_of = {rule.shape: rule for rule in self._rules}
         self._owner = repr(tuple(rule.shape for rule in self._rules))
         self._calls = 0
         self._misses = 0
@@ -661,29 +637,25 @@ class Rewriter:
 
     def _expand(self, s: str, cap: float) -> _Entry:
         """The memo entry of s for cap, which is at least len(s)."""
-        # The first step found for a successor is kept: identities in order,
-        # forward before backward (merged last first, so the earlier rule's
-        # link wins), prefixes by length, bindings depth-first.  Every match
-        # giving q is len(q) long, so a cap never changes which link is
-        # first.  Rewriting commutes with renaming letters, and a link holds
-        # image lengths, not images, so the rules match c, s with its k-th
-        # distinct letter renamed chr(k), and their successors are renamed
-        # back: every word that renames to c shares c's shape matches.
+        # Rewriting commutes with renaming letters, and a link holds image
+        # lengths, not images, so the rules match c, s with its k-th distinct
+        # letter renamed chr(k), and their successors are renamed back: every
+        # word that renames to c shares c's shape matches.  The links stay in
+        # the shape entries, where _step reads them.
         letters = "".join(dict.fromkeys(s))
         c = s.translate({ord(a): k for k, a in enumerate(letters)})
-        found: dict[str, tuple] = {}
+        found: set[str] = set()
         overflow = False
-        for rule in reversed(self._rules):
+        for rule in self._rules:
             match = self._match(rule, c, cap)
             found.update(match.successors)
             overflow = overflow or match.cap is not None
         # a match built for a larger cap may hold longer successors
-        renamed = {q.translate(letters): link for q, link in found.items() if len(q) <= cap}
-        overflow = overflow or len(renamed) < len(found)
-        order = list(renamed)
+        order = [q.translate(letters) for q in found if len(q) <= cap]
+        overflow = overflow or len(order) < len(found)
         _shortlex_sort(order)
         share = _shared().setdefault
-        return _Entry({share(q, q): renamed[q] for q in order}, cap if overflow else None)
+        return _Entry(tuple([share(q, q) for q in order]), cap if overflow else None)
 
     def _match(self, rule: _Rule, s: str, cap: float) -> _Entry:
         """The entry of rule's shape for s within cap, s itself left out, from
@@ -693,12 +665,37 @@ class Rewriter:
         if match is None or match.cap is not None and cap > match.cap:
             self._kernel_runs += 1
             found: dict[str, tuple] = {s: ()}  # so the kernel skips s
-            over = rule.kernel(s, cap, found, rule.shape, False)
+            over = rule.kernel(s, cap, found, False)
             del found[s]
             share = _shared().setdefault
             match = _Entry({share(q, q): share(link, link) for q, link in found.items()}, cap if over else None)
             _memoise(key, match)
         return match
+
+    def _step(self, alphabet: tuple[Variable, ...], p: str, q: str) -> RewriteStep:
+        """The RewriteStep by which the word code p over alphabet rewrites to
+        its successor q: the first step found, that is the earliest rule
+        (identities in order, forward before backward) whose shape entry for
+        p's first-occurrence renaming holds q, at its kernel's first match.
+        Every match giving q is len(q) long, and a kernel finds the matches
+        within any limit in the same order, so the link is the same whatever
+        cap built the entry, or if it is built again."""
+        renaming = {ord(a): k for k, a in enumerate(dict.fromkeys(p))}
+        c, d = p.translate(renaming), q.translate(renaming)
+        limit = max(len(p), len(q))
+        for rule in self._rules:
+            link = self._match(rule, c, limit).successors.get(d)
+            if link is not None:
+                break
+        i, end, lengths = link
+        images, at = [], i
+        for slot, repeat, first, _ in rule.shape[0]:  # the rewritten side's runs
+            if first:
+                images.append(_word(alphabet, p[at : at + lengths[slot]]))
+            at += repeat * lengths[slot]
+        subst = Substitution(dict(zip(rule.variables, images)))
+        prefix, suffix = _word(alphabet, p[:i]), _word(alphabet, p[end:])
+        return RewriteStep(prefix, suffix, rule.identity_index, rule.forward, subst)
 
 
 def match_pattern(pattern: Word, target: Word) -> set[Substitution]:
@@ -738,9 +735,7 @@ def one_step_successors(p: Word, sigma: Presentation) -> dict[Word, RewriteStep]
     """
     rewriter = Rewriter.of(sigma)
     alphabet, s = _encode(p)
-    rules = rewriter._rule_of
-    successors = rewriter._successors(s).successors
-    steps = {_word(alphabet, q): _step(rules, alphabet, s, link) for q, link in successors.items()}
+    steps = {_word(alphabet, q): rewriter._step(alphabet, s, q) for q in rewriter._successors(s).successors}
     if rewriter._rules:
         first = rewriter._rules[0]
         subst = Substitution(dict.fromkeys(first.variables, EMPTY))
@@ -756,18 +751,18 @@ class Exploration:
     ``saturated`` is True only when the closure stabilised with no successor
     pruned and no cap reached, in which case ``words`` is exactly the class
     of the start word under the fully invariant congruence of the presented
-    variety.  ``parents`` is keyed on the engine's internal word codes over
-    ``alphabet`` (one entry per visited word), and ``rules`` maps the rule
-    shape each link names to the presentation's rule of that shape; use
-    ``words`` and ``certificate_to`` for Words and steps.
+    variety.  ``parents`` maps the engine's internal code of each visited
+    word over ``alphabet`` to its parent's code (None for the start), and
+    ``rewriter`` reads the step between them; use ``words`` and
+    ``certificate_to`` for Words and steps.
     """
 
     start: Word
     bounds: SearchBounds
-    parents: dict[str, tuple[str, tuple] | None]
+    parents: dict[str, str | None]
     saturated: bool
     alphabet: tuple[Variable, ...]
-    rules: dict[tuple, _Rule]
+    rewriter: Rewriter = field(compare=False)
 
     @property
     def words(self) -> frozenset[Word]:
@@ -778,13 +773,10 @@ class Exploration:
         if alphabet != self.alphabet or cursor not in self.parents:
             return None
         steps: list[RewriteStep] = []
-        while True:
-            link = self.parents[cursor]
-            if link is None:
-                break
-            parent, step = link
-            steps.append(_step(self.rules, alphabet, parent, step))
-            cursor = parent
+        parent = self.parents[cursor]
+        while parent is not None:
+            steps.append(self.rewriter._step(alphabet, parent, cursor))
+            cursor, parent = parent, self.parents[parent]
         steps.reverse()
         return DerivationCertificate(self.start, tuple(steps))
 
@@ -807,7 +799,7 @@ def explore(
     as saturated; an entry built earlier for a larger cap may hold longer
     ones, and those are pruned by their length.  An unset length cap is
     default_bounds(sigma, start, stop_at)'s, and the Exploration records the
-    caps used.  Every exact operation of this module wraps this search.
+    caps used.
 
     With complete_only, the search gives up the first time it prunes: at a
     word whose memo entry has a cap, before taking any of its successors, or
@@ -832,7 +824,7 @@ def explore(
     # limit, which the memo leaves out, is never a visited one: its existence
     # (the entry's cap) prunes exactly as its length would.
     limit = max(max_length, len(origin))
-    parents: dict[str, tuple[str, tuple] | None] = {origin: None}
+    parents: dict[str, str | None] = {origin: None}
     frontier = [origin]
     pruned = False
     depth = 0
@@ -843,29 +835,29 @@ def explore(
             if overflow_cap is not None:
                 pruned = True
                 if complete_only:
-                    return Exploration(start, bounds, parents, False, alphabet, rewriter._rule_of)
-            for q, link in successors.items():
+                    return Exploration(start, bounds, parents, False, alphabet, rewriter)
+            for q in successors:
                 if q in parents:
                     continue
                 if len(q) > max_length:
                     pruned = True
                     if complete_only:
-                        return Exploration(start, bounds, parents, False, alphabet, rewriter._rule_of)
+                        return Exploration(start, bounds, parents, False, alphabet, rewriter)
                     continue
                 if len(parents) >= max_states:
                     pruned = True
                     if complete_only:
-                        return Exploration(start, bounds, parents, False, alphabet, rewriter._rule_of)
+                        return Exploration(start, bounds, parents, False, alphabet, rewriter)
                     continue
-                parents[q] = (p, link)
+                parents[q] = p
                 next_frontier.append(q)
                 if q == target:
-                    return Exploration(start, bounds, parents, False, alphabet, rewriter._rule_of)
+                    return Exploration(start, bounds, parents, False, alphabet, rewriter)
         _shortlex_sort(next_frontier)
         frontier = next_frontier
         depth += 1
     saturated = not frontier and not pruned
-    return Exploration(start, bounds, parents, saturated, alphabet, rewriter._rule_of)
+    return Exploration(start, bounds, parents, saturated, alphabet, rewriter)
 
 
 def derive(
@@ -950,7 +942,7 @@ def class_closure_verify(candidate: set[Word] | frozenset[Word], w: Word, sigma:
         if overflow_cap is not None:
             # This uncapped request replaces the capped entry (a miss), so later
             # requests for s at any cap are served from the full list.
-            q = list(rewriter._successors(s).successors)[len(successors)]
+            q = rewriter._successors(s).successors[len(successors)]
             return NotClosed(member, _word(alphabet, q))
     # The candidate is closed, so everything reachable from w is a member and
     # these caps prune nothing: the search reaches exactly w's class.
@@ -971,14 +963,13 @@ def isoterm_exact(w: Word, sigma: Presentation) -> bool:
     return not successors and cap is None
 
 
-def enumerate_class(w: Word, sigma: Presentation, bounds: SearchBounds | None = None) -> ClassEnumeration:
+def enumerate_class(w: Word, sigma: Presentation, bounds: SearchBounds | None = None) -> Exploration:
     """Enumerate the congruence class of w by breadth-first closure.
 
-    The result is complete only when the closure saturated without touching
-    any bound; only then is the word set exactly the class of w.
+    The result is saturated only when the closure stabilised without touching
+    any bound; only then are its words exactly the class of w.
     """
-    result = explore(sigma, w, bounds)
-    return ClassEnumeration(result.words, result.saturated)
+    return explore(sigma, w, bounds)
 
 
 # Certificate serialization: a structured text document listing the start

@@ -41,7 +41,6 @@ EXPORTS = LATTICE_EXPORTS + (
     "C",
     "CertificateCheck",
     "Check",
-    "ClassEnumeration",
     "ContentUnbalancedError",
     "DerivationCertificate",
     "EMPTY",

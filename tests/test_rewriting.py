@@ -269,18 +269,21 @@ def reference_expand(sigma, s, cap):
 
 
 def resolved(rewriter, s, entry):
-    """The _Entry of the word code s with each link's shape resolved through
-    rewriter's rules and each image read from s at the link's lengths, in
-    reference_expand's form."""
+    """The rewriter entry of the word code s in reference_expand's form, each
+    successor's step read through rewriter._step: prefix end, suffix start,
+    the rule as (identity index, forward, variables by slot), and the images
+    by slot as codes."""
+    alphabet = tuple(Variable(f"a{k}") for k in range(max(map(ord, s), default=-1) + 1))
+    code = {v: chr(k) for k, v in enumerate(alphabet)}
+    variables = {(rule.identity_index, rule.forward): rule.variables for rule in rewriter._rules}
     successors = []
-    for q, (i, end, shape, lengths) in entry.successors.items():
-        rule = rewriter._rule_of[shape]
-        images, at = {}, i
-        for slot, repeat, _, _ in shape[0]:  # the rewritten side's runs
-            images.setdefault(slot, s[at : at + lengths[slot]])
-            at += repeat * lengths[slot]
-        images = tuple(images[j] for j in range(len(lengths)))
-        successors.append((q, (i, end, (rule.identity_index, rule.forward, rule.variables), images)))
+    for q in entry.successors:
+        step = rewriter._step(alphabet, s, q)
+        slots = variables[step.identity_index, step.forward]
+        subst = dict(step.subst.items())
+        images = tuple("".join(code[v] for v in subst[x].letters) for x in slots)
+        rule = (step.identity_index, step.forward, slots)
+        successors.append((q, (len(step.prefix), len(s) - len(step.suffix), rule, images)))
     return successors, entry.cap
 
 
@@ -405,12 +408,21 @@ class TestSuccessorOracle:
             sigma = self.random_system(rng)
             u = Word(rng.choices(self.NAMES, k=rng.randint(0, 5)))
             bounds = SearchBounds(8, 4, 200)
-            reached = sorted(explore(sigma, u, bounds).words, key=lambda w: w.key)
+            explored = explore(sigma, u, bounds)
+            reached = sorted(explored.words, key=lambda w: w.key)
             for v in rng.sample(reached, min(3, len(reached))):
                 cert = derive(sigma, u, v, bounds)
                 assert verify_certificate(sigma, cert, u, v).ok, (sigma, u, v)
                 assert parse_certificate(format_certificate(cert)) == cert
                 count += len(cert)
+                # taken again once the memo is emptied, the explored
+                # certificate rebuilds the shape entries on its path
+                first = explored.certificate_to(v)
+                runs = Rewriter.of(sigma).kernel_runs
+                clear_successor_cache()
+                again = explored.certificate_to(v)
+                assert again == first == cert and verify_certificate(sigma, again, u, v).ok, (sigma, u, v)
+                assert (Rewriter.of(sigma).kernel_runs > runs) == (len(cert) > 0), (sigma, u, v)
         assert count >= 40
 
     def fixed_and_seeded_systems(self, rng):
@@ -429,13 +441,15 @@ class TestSuccessorOracle:
                 clear_successor_cache()  # so every request below expands afresh
                 everything = rewriter._successors(s)
                 assert everything.cap is None
+                links = dict(resolved(rewriter, s, everything)[0])
                 for cap in range(1, len(s) + 4):
                     limit = max(cap, len(s))
                     clear_successor_cache()
                     entry = rewriter._successors(s, limit)
                     # same codes in the same order, each with its uncapped link
-                    within = [(q, link) for q, link in everything.successors.items() if len(q) <= limit]
-                    assert list(entry.successors.items()) == within, (sigma, s, limit)
+                    within = [q for q in everything.successors if len(q) <= limit]
+                    assert list(entry.successors) == within, (sigma, s, limit)
+                    assert resolved(rewriter, s, entry)[0] == [(q, links[q]) for q in within], (sigma, s, limit)
                     # a cap is kept exactly when a longer successor was left out
                     overflow = len(within) < len(everything.successors)
                     assert entry.cap == (limit if overflow else None), (sigma, s, limit)
@@ -491,6 +505,9 @@ class TestSuccessorOracle:
             (Presentation.of("x^2y = xy^2"), Presentation.of("yx^2 = y^2x")),
             (Presentation.of("xy = yx"), Presentation.of("x^2 = x", "zx = xz")),
         ]
+        # both rules rewrite xy to yx, each first in one of the two orders
+        commuting = (Presentation.of("xy = yx", "xyz = zyx"), Presentation.of("xyz = zyx", "xy = yx"))
+        pairs += [commuting, commuting[::-1]]
         rename = dict(zip(self.NAMES, self.NAMES[1:] + self.NAMES[:1]))
 
         def renamed(w):
@@ -536,6 +553,13 @@ class TestSuccessorOracle:
                     assert texts[0] == texts[1] == texts[2], (a, b, word, v)
                     steps += texts[0].count("step:")
         assert warm_checks >= 50 and steps >= 100, (warm_checks, steps)
+        # whichever order filled the memo, xy -> yx names each one's identity 0
+        substs = {commuting[0]: "x=x,y=y", commuting[1]: "x=1,y=x,z=y"}
+        for order in (commuting, commuting[::-1]):
+            clear_successor_cache()
+            for sigma in order:
+                (step,) = format_certificate(derive(sigma, parse_word("xy"), parse_word("yx"))).splitlines()[1:]
+                assert " identity=0 " in step and f" subst={substs[sigma]} " in step, (sigma, step)
         clear_successor_cache()
 
     def test_answers_do_not_depend_on_the_memo_budget(self, monkeypatch):
@@ -579,10 +603,11 @@ class TestSuccessorOracle:
             assert max(shared_sizes) >= budget, budget  # so it was emptied on the way
         clear_successor_cache()
 
-    def test_every_memo_entry_has_one_form(self):
+    def test_rewriter_entries_list_codes_and_shape_entries_map_them_to_links(self):
         # after seeded searches and class checks under the reference bases
-        # and seeded systems, every entry, a rewriter's or a rule shape's,
-        # maps the codes of its word's other successors to their links
+        # and seeded systems, every rewriter entry is a shortlex tuple of the
+        # codes of its word's other successors, and every rule shape's entry
+        # maps those codes to (prefix end, suffix start, image lengths) links
         rng = random.Random(8821)
         kinds = (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB)
         systems = [reference_presentation(kind) for kind in kinds] + [self.random_system(rng) for _ in range(12)]
@@ -597,12 +622,18 @@ class TestSuccessorOracle:
                 class_closure_verify(set(reached[: rng.randint(1, len(reached))]) | {u}, u, sigma)
         rewriters = shapes = capped = 0
         for (owner, s), entry in rewriting._MEMO.items():
-            assert isinstance(entry.successors, dict) and s not in entry.successors, (owner, s)
+            assert s not in entry.successors, (owner, s)
             if isinstance(owner, str):  # a rewriter's rule shapes, not one shape
-                codes = list(entry.successors)
-                assert codes == sorted(codes, key=lambda q: (len(q), q)), (owner, s)
+                codes = entry.successors
+                assert isinstance(codes, tuple) and all(isinstance(q, str) for q in codes), (owner, s)
+                assert list(codes) == sorted(codes, key=lambda q: (len(q), q)), (owner, s)
                 rewriters += 1
             else:
+                assert isinstance(entry.successors, dict), (owner, s)
+                slots = sum(first for _, _, first, _ in owner[0])  # the rewritten side's variables
+                for q, link in entry.successors.items():
+                    assert isinstance(q, str) and [type(part) for part in link] == [int, int, tuple], (owner, s, q)
+                    assert len(link[2]) == slots and all(isinstance(length, int) for length in link[2]), (owner, s, q)
                 shapes += 1
             if entry.cap is not None:
                 assert max(map(len, entry.successors), default=0) <= entry.cap, (owner, s)
@@ -613,8 +644,11 @@ class TestSuccessorOracle:
         # links, and values recur, so sharing them saves objects
         first: dict = {}
         for entry in rewriting._MEMO.values():
-            for q, link in entry.successors.items():
-                assert first.setdefault(q, q) is q and first.setdefault(link, link) is link, (q, link)
+            for q in entry.successors:
+                assert first.setdefault(q, q) is q, q
+            if isinstance(entry.successors, dict):
+                for link in entry.successors.values():
+                    assert first.setdefault(link, link) is link, link
         assert len(first) < sum(len(entry.successors) for entry in rewriting._MEMO.values())
         assert rewriting._SHARED
         clear_successor_cache()
@@ -627,7 +661,7 @@ class TestSuccessorOracle:
         exploration = explore(sigma, start, SearchBounds(4, 8))
         parents, saturated = reference_explore(sigma, start, SearchBounds(4, 8))
         enumeration = enumerate_class(start, sigma, SearchBounds(4, 8))
-        assert saturated and enumeration.complete and enumeration.words == exploration.words == set(parents)
+        assert saturated and enumeration.saturated and enumeration.words == exploration.words == set(parents)
         for target in parents:
             assert exploration.certificate_to(target) == reference_certificate(parents, start, target)
         # baba is first reached from bbaa, the least of its parents by Word.key;
@@ -1104,29 +1138,29 @@ class TestIsoterms:
             (parse_word("x"), Presentation.of("x^2 = x^3")),
         ]:
             enumeration = enumerate_class(word, sigma, SearchBounds(12, 10))
-            singleton = enumeration.complete and enumeration.words == frozenset({word})
+            singleton = enumeration.saturated and enumeration.words == frozenset({word})
             assert isoterm_exact(word, sigma) == singleton
 
 
 class TestEnumerateClass:
     def test_capped_infinite_class_still_reaches(self):
         enumeration = enumerate_class(parse_word("xyxy"), SIGMA_E, SearchBounds(6, 10))
-        assert not enumeration.complete
+        assert not enumeration.saturated
         assert parse_word("yxyx") in enumeration.words
 
     def test_odd_powers_exceed_cap(self):
         enumeration = enumerate_class(parse_word("x"), POWER, SearchBounds(7, 10, 100))
-        assert not enumeration.complete
+        assert not enumeration.saturated
         assert enumeration.words == {parse_word(w) for w in ("x", "x^3", "x^5", "x^7")}
 
     def test_complete_singleton(self):
         enumeration = enumerate_class(parse_word("yxyxx"), SIGMA_Y1)
-        assert enumeration.complete
+        assert enumeration.saturated
         assert enumeration.words == frozenset({parse_word("yxyxx")})
 
     def test_complete_matches_exact_class(self):
         enumeration = enumerate_class(parse_word("xyxyx"), SIGMA_X1)
-        assert enumeration.complete
+        assert enumeration.saturated
         verdict = class_closure_verify(enumeration.words, parse_word("xyxyx"), SIGMA_X1)
         assert isinstance(verdict, ExactClass)
 
