@@ -12,7 +12,7 @@ import argparse
 import csv
 import sys
 
-from ._properties import ElementProperty
+from .lattices import ElementProperty, check_implications, elements_with, has_property, load_lattice_file
 from .rewriting import (
     Identity,
     Presentation,
@@ -86,8 +86,6 @@ def _cmd_satisfies(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    from .lattices import check_implications, elements_with, has_property, load_lattice_file
-
     lattice = load_lattice_file(args.file)
     if args.element is not None or args.property is not None:
         if args.element is None or args.property is None:

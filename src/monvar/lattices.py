@@ -10,12 +10,8 @@ blocks of (x, y) pairs holding at most _BLOCK entries; n <= 64 is one block.
 
 from __future__ import annotations
 
-import json
+from enum import Enum
 from functools import cache
-
-import numpy as np
-
-from ._properties import PROPERTY_IMPLICATIONS, ElementProperty
 
 __all__ = [
     "LatticeError",
@@ -45,6 +41,45 @@ class LatticeError(ValueError):
     pass
 
 
+class ElementProperty(Enum):
+    NEUTRAL = "neutral"
+    STANDARD = "standard"
+    COSTANDARD = "costandard"
+    DISTRIBUTIVE = "distributive"
+    CODISTRIBUTIVE = "codistributive"
+    MODULAR = "modular"
+    LOWER_MODULAR = "lower-modular"
+    UPPER_MODULAR = "upper-modular"
+    CANCELLABLE = "cancellable"
+
+
+# Element-wise implications that hold in every lattice.
+PROPERTY_IMPLICATIONS: tuple[tuple[ElementProperty, ElementProperty], ...] = (
+    (ElementProperty.NEUTRAL, ElementProperty.STANDARD),
+    (ElementProperty.NEUTRAL, ElementProperty.COSTANDARD),
+    (ElementProperty.STANDARD, ElementProperty.CANCELLABLE),
+    (ElementProperty.COSTANDARD, ElementProperty.CANCELLABLE),
+    (ElementProperty.CANCELLABLE, ElementProperty.MODULAR),
+    (ElementProperty.STANDARD, ElementProperty.DISTRIBUTIVE),
+    (ElementProperty.COSTANDARD, ElementProperty.CODISTRIBUTIVE),
+    (ElementProperty.DISTRIBUTIVE, ElementProperty.LOWER_MODULAR),
+    (ElementProperty.CODISTRIBUTIVE, ElementProperty.UPPER_MODULAR),
+)
+
+# numpy loads with the first lattice, not with this module. FiniteLattice.__init__
+# and build_lattice are the only code that makes an array before a lattice
+# exists, so they call _load_numpy; every other user of np takes a lattice.
+np = None
+
+
+def _load_numpy() -> None:
+    global np
+    if np is None:
+        import numpy
+
+        np = numpy
+
+
 # build_lattice and product refuse larger lattices before any n x n allocation,
 # and the meet and join tables hold element indices as int16.
 MAX_ELEMENTS = 1024
@@ -62,6 +97,7 @@ class FiniteLattice:
     """An explicit finite lattice: labels, order matrix, meet/join tables."""
 
     def __init__(self, labels: tuple[str, ...], order: np.ndarray, name: str = ""):
+        _load_numpy()
         self.labels = tuple(labels)
         self.name = name or ",".join(self.labels)
         self.index = {label: k for k, label in enumerate(self.labels)}
@@ -196,6 +232,7 @@ def build_lattice(elements, covers, name: str = "") -> FiniteLattice:
     duplicate labels, unknown labels, and missing or ambiguous bounds are
     all rejected.
     """
+    _load_numpy()
     labels = tuple(elements)
     if len(labels) > MAX_ELEMENTS:
         raise LatticeError(f"{len(labels)} elements exceed the limit of {MAX_ELEMENTS}")
@@ -269,6 +306,8 @@ def search_element_counterexample(catalog, has: ElementProperty, lacks: ElementP
 def lattice_from_json(text: str, name: str = "") -> FiniteLattice:
     """Lattice file format: {"elements": [labels], "covers": [[lower, upper], ...]},
     every label a string.  Any malformed input raises LatticeError."""
+    import json
+
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -31,6 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .lattices import (
+    ElementProperty,
+    builtin_catalog,
+    check_implications,
+    elements_with,
+    has_property,
+    is_sublattice,
+)
 from .rewriting import (
     DerivationCertificate,
     ExactClass,
@@ -448,16 +456,6 @@ def _scenario_s3() -> Report:
 
 
 def _scenario_s4() -> Report:
-    # the only scenario that builds lattices, so the only one that loads numpy
-    from .lattices import (
-        ElementProperty,
-        builtin_catalog,
-        check_implications,
-        elements_with,
-        has_property,
-        is_sublattice,
-    )
-
     report = Report("S4", "special-element implications and sublattices over the lattice catalog")
     catalog = builtin_catalog()
 

@@ -12,6 +12,21 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping
 
+__all__ = [
+    "WordSyntaxError",
+    "Variable",
+    "Word",
+    "EMPTY",
+    "parse_word",
+    "format_word",
+    "content",
+    "occ",
+    "ini",
+    "fin",
+    "has_kth_power_factor",
+    "Substitution",
+]
+
 _TOKEN_RE = re.compile(r"[a-z][0-9]*")
 _FACTOR_RE = re.compile(r"([a-z][0-9]*)(?:\^([0-9]+))?")
 
