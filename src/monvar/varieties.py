@@ -8,8 +8,8 @@ composition is the obstacle.
 
 A presented handle searches only when the search can change the verdict: a
 built-in that satisfies every identity of the presentation lies in its
-variety (Birkhoff), so when such a built-in fails u = v no derivation of
-u = v exists, and the answer is Unknown (bounds) without any search.
+variety (Birkhoff), so when such a built-in fails u = v, so does the
+variety, and the answer is an exact No without any search.
 Composite handles evaluate their parts in the order given and stop at the
 first part whose answer decides the composite.  A join isoterm reads only
 complete part classes, so the search for a part's class is abandoned at its
@@ -222,20 +222,21 @@ def _every_part(answers: Iterable[Verdict]) -> Verdict:
 
 
 def _derived(handle: Presented, identity: Identity, bounds: SearchBounds | None) -> Verdict:
-    """Yes on a bounded derivation, otherwise Unknown (bounds).  No search is
-    run when a built-in model of the presentation fails the identity."""
-    if all(_holds(kind, identity) for kind in handle._models):
-        if derive(handle.presentation, identity.lhs, identity.rhs, bounds) is not None:
-            return Verdict.YES
+    """No, without a search, when a built-in model of the presentation fails
+    the identity; otherwise Yes on a bounded derivation, else Unknown (bounds)."""
+    if not all(_holds(kind, identity) for kind in handle._models):
+        return Verdict.NO
+    if derive(handle.presentation, identity.lhs, identity.rhs, bounds) is not None:
+        return Verdict.YES
     return Verdict.UNKNOWN_BOUNDS
 
 
 def satisfies(handle: VarietyHandle, identity: Identity, bounds: SearchBounds | None = None) -> Verdict:
     """Whether the variety satisfies the identity.
 
-    Built-ins answer exactly.  Presented handles answer Yes on a successful
-    bounded derivation and Unknown otherwise, never No; the Unknown comes
-    without any search when a built-in in the variety fails the identity.
+    Built-ins answer exactly.  Presented handles answer No, without any
+    search, when a built-in in the variety fails the identity; otherwise Yes
+    on a successful bounded derivation and Unknown otherwise.
     A join satisfies exactly the identities all its components satisfy; a
     meet satisfies at least the identities of each component and everything
     derivable from the union of component presentations.  Components are

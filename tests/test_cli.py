@@ -101,8 +101,15 @@ class TestVerdictCommands:
         assert main(["satisfies", "--variety", "join(C, LRB)", "--lhs", "x^2y^2", "--rhs", "y^2x^2"]) == 0
         assert capsys.readouterr().out.strip() == "No"
 
-    def test_satisfies_unknown(self, capsys):
+    def test_satisfies_unknown(self, tmp_path, capsys):
+        # LRB lies in MON and fails xy = yx
         assert main(["satisfies", "--variety", "MON", "--lhs", "xy", "--rhs", "yx"]) == 0
+        assert capsys.readouterr().out.strip() == "No"
+        # every built-in model of x = x^3 holds here, and the derivation needs length 13
+        path = tmp_path / "power.ids"
+        path.write_text("x = x^3\n")
+        argv = ["satisfies", "--variety", f"@{path}", "--lhs", "x^9yx^3", "--rhs", "x^7yx^5", "--max-len", "12"]
+        assert main(argv) == 0
         assert capsys.readouterr().out.strip() == "Unknown (bounds)"
 
     def test_unbalanced_part_is_an_error(self, tmp_path, capsys):
