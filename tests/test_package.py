@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,7 @@ class TestSurface:
         namespace = {}
         exec("from monvar import *", namespace)
         assert set(EXPORTS) <= set(namespace)
+        assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -132,7 +134,8 @@ class TestSurface:
 _RUN_COMMANDS = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None  # any numpy import now raises ImportError
-import monvar, monvar.cli
+import monvar, monvar.cli, monvar.lattices
+assert monvar.ElementProperty("modular") in {prop for pair in monvar.PROPERTY_IMPLICATIONS for prop in pair}
 results = []
 for argv in json.loads(sys.argv[1]):
     buffer = io.StringIO()
@@ -144,9 +147,17 @@ print(json.dumps(results))
 
 _VERIFY_S4 = """
 import sys
-import monvar.cli
+import monvar.cli, monvar.lattices
 assert "numpy" not in sys.modules
 assert monvar.cli.main(["verify", "S4"]) == 0
+assert "numpy" in sys.modules
+"""
+
+_BUILD_A_LATTICE = """
+import sys
+import monvar.lattices
+assert "numpy" not in sys.modules
+monvar.chain(2)
 assert "numpy" in sys.modules
 """
 
@@ -182,3 +193,5 @@ class TestWithoutNumpy:
         done = _python(_VERIFY_S4, tmp_path)
         assert done.returncode == 0, done.stderr
         assert "SCENARIO S4" in done.stdout
+        done = _python(_BUILD_A_LATTICE, tmp_path)
+        assert done.returncode == 0, done.stderr
