@@ -66,9 +66,10 @@ PROPERTY_IMPLICATIONS: tuple[tuple[ElementProperty, ElementProperty], ...] = (
     (ElementProperty.CODISTRIBUTIVE, ElementProperty.UPPER_MODULAR),
 )
 
-# numpy loads with the first lattice, not with this module. FiniteLattice.__init__
-# and build_lattice are the only code that makes an array before a lattice
-# exists, so they call _load_numpy; every other user of np takes a lattice.
+# numpy loads with the first lattice and json with the first lattice text, not
+# with this module. FiniteLattice.__init__ and build_lattice are the only code
+# that makes an array before a lattice exists, so they call _load_numpy; every
+# other user of np takes a lattice.
 np = None
 
 

@@ -240,7 +240,6 @@ def test_verdict_stream_digest():
     # Re-pinned when a presented handle began to answer No where one of its
     # built-in models fails the identity: 344 of the 1,000 verdicts went from
     # Unknown to No and one from Unknown to Yes, and none changed otherwise.
-    # The early-stopping composites changed no verdict.
     verdicts = "".join(f"{verdict.value}\n" for verdict in verdict_stream(0, 1000))
     digest = hashlib.sha256(verdicts.encode()).hexdigest()
     assert digest == "b4965e6b1f65630fa46091735dd59ac31bfff5d5ebb4d6d3e5cee322ab98698e"
