@@ -18,7 +18,7 @@ from .rewriting import (
     Presentation,
     SearchBounds,
     derive,
-    enumerate_class,
+    explore,
     format_certificate,
 )
 from .scenarios import SCENARIO_NAMES, run_scenario
@@ -65,10 +65,10 @@ def _cmd_derive(args) -> int:
 
 def _cmd_class(args) -> int:
     sigma = _load_system(args.system)
-    enumeration = enumerate_class(parse_word(args.word), sigma, _bounds_from_args(args))
-    status = "Complete" if enumeration.saturated else "CapExceeded (partial)"
-    print(f"{status}: {len(enumeration.words)} words")
-    for member in sorted(enumeration.words, key=lambda w: w.key):
+    found = explore(sigma, parse_word(args.word), _bounds_from_args(args))
+    status = "Complete" if found.saturated else "CapExceeded (partial)"
+    print(f"{status}: {len(found.words)} words")
+    for member in sorted(found.words, key=lambda w: w.key):
         print(f"  {format_word(member)}")
     return 0
 

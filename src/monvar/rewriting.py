@@ -49,10 +49,11 @@ content, so shortlex order is string order; Word stays the public type, and
 a RewriteStep is built only for a certificate or for one_step_successors.
 
 isoterm_exact reads one memo entry, and every other exact operation wraps one
-search, explore: derive stops it at its target (and skips it for two words of
-different content, which no content-balanced rule connects), enumerate_class
-returns it, and class_closure_verify reads successor sets for closure
-and runs explore for connectivity.  A caller that can use only a complete
+search, explore, whose Exploration answers whether it reached a word (`in`):
+derive stops it at its target (and skips it for two words of different
+content, which no content-balanced rule connects), and class_closure_verify
+reads each member's complete successor list for closure and runs explore for
+connectivity.  A caller that can use only a complete
 class asks explore with complete_only, which gives up the first time the
 search prunes (a memo entry with a cap, a successor past the length cap, or
 the state cap): a closure that prunes never saturates, so the rest of the
@@ -102,7 +103,6 @@ __all__ = [
     "verify_certificate",
     "class_closure_verify",
     "isoterm_exact",
-    "enumerate_class",
     "format_certificate",
     "parse_certificate",
 ]
@@ -768,14 +768,19 @@ class Exploration:
     def words(self) -> frozenset[Word]:
         return frozenset(_word(self.alphabet, s) for s in self.parents)
 
+    def __contains__(self, w: Word) -> bool:
+        """Whether the search reached w."""
+        alphabet, s = _encode(w)
+        return alphabet == self.alphabet and s in self.parents
+
     def certificate_to(self, target: Word) -> DerivationCertificate | None:
-        alphabet, cursor = _encode(target)
-        if alphabet != self.alphabet or cursor not in self.parents:
+        if target not in self:
             return None
+        _, cursor = _encode(target)
         steps: list[RewriteStep] = []
         parent = self.parents[cursor]
         while parent is not None:
-            steps.append(self.rewriter._step(alphabet, parent, cursor))
+            steps.append(self.rewriter._step(self.alphabet, parent, cursor))
             cursor, parent = parent, self.parents[parent]
         steps.reverse()
         return DerivationCertificate(self.start, tuple(steps))
@@ -929,25 +934,15 @@ def class_closure_verify(candidate: set[Word] | frozenset[Word], w: Word, sigma:
     # Successors keep content, so a successor is a member exactly when its
     # (alphabet, code) pair is a member's.
     codes = {_encode(member) for member in ordered}
-    longest = max(1, *map(len, members))
     for member in ordered:
         alphabet, s = _encode(member)
-        # An entry within a cap holds a shortlex prefix of the successors, and
-        # those it leaves out are longer than every member: the first of them
-        # is the witness only when every successor held is a member.
-        successors, overflow_cap = rewriter._successors(s, longest)
-        for q in successors:
+        for q in rewriter._successors(s).successors:
             if (alphabet, q) not in codes:
                 return NotClosed(member, _word(alphabet, q))
-        if overflow_cap is not None:
-            # This uncapped request replaces the capped entry (a miss), so later
-            # requests for s at any cap are served from the full list.
-            q = rewriter._successors(s).successors[len(successors)]
-            return NotClosed(member, _word(alphabet, q))
     # The candidate is closed, so everything reachable from w is a member and
     # these caps prune nothing: the search reaches exactly w's class.
     n = len(members)
-    reached = explore(sigma, w, SearchBounds(longest, n, n)).words
+    reached = explore(sigma, w, SearchBounds(max(1, *map(len, members)), n, n))
     for member in ordered:
         if member not in reached:
             return NotConnected(member)
@@ -961,15 +956,6 @@ def isoterm_exact(w: Word, sigma: Presentation) -> bool:
     _, s = _encode(w)
     successors, cap = Rewriter.of(sigma)._successors(s, max(1, len(s)))
     return not successors and cap is None
-
-
-def enumerate_class(w: Word, sigma: Presentation, bounds: SearchBounds | None = None) -> Exploration:
-    """Enumerate the congruence class of w by breadth-first closure.
-
-    The result is saturated only when the closure stabilised without touching
-    any bound; only then are its words exactly the class of w.
-    """
-    return explore(sigma, w, bounds)
 
 
 # Certificate serialization: a structured text document listing the start

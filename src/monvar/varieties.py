@@ -39,7 +39,6 @@ from .rewriting import (
     Identity,
     Presentation,
     SearchBounds,
-    derive,
     explore,
     isoterm_exact,
 )
@@ -226,7 +225,9 @@ def _derived(handle: Presented, identity: Identity, bounds: SearchBounds | None)
     the identity; otherwise Yes on a bounded derivation, else Unknown (bounds)."""
     if not all(_holds(kind, identity) for kind in handle._models):
         return Verdict.NO
-    if derive(handle.presentation, identity.lhs, identity.rhs, bounds) is not None:
+    u, v = identity.lhs, identity.rhs
+    # explore stopping at its own start word would run its whole search
+    if u == v or v in explore(handle.presentation, u, bounds, stop_at=v):
         return Verdict.YES
     return Verdict.UNKNOWN_BOUNDS
 

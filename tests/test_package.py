@@ -77,7 +77,6 @@ EXPORTS = LATTICE_EXPORTS + (
     "content",
     "default_bounds",
     "derive",
-    "enumerate_class",
     "explore",
     "fin",
     "find_shaped_identity",

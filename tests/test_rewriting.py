@@ -27,7 +27,6 @@ from monvar import (
     content,
     default_bounds,
     derive,
-    enumerate_class,
     explore,
     format_certificate,
     format_word,
@@ -660,7 +659,7 @@ class TestSuccessorOracle:
         start = Word((a, a, b, b))
         exploration = explore(sigma, start, SearchBounds(4, 8))
         parents, saturated = reference_explore(sigma, start, SearchBounds(4, 8))
-        enumeration = enumerate_class(start, sigma, SearchBounds(4, 8))
+        enumeration = explore(sigma, start, SearchBounds(4, 8))
         assert saturated and enumeration.saturated and enumeration.words == exploration.words == set(parents)
         for target in parents:
             assert exploration.certificate_to(target) == reference_certificate(parents, start, target)
@@ -1099,7 +1098,7 @@ class TestClassVerdicts:
         for _ in range(300):
             sigma = rng.choice(systems)
             w = Word(rng.choices((X, Y), k=rng.randint(0, 5)))
-            enumeration = sorted(enumerate_class(w, sigma, SearchBounds(7, 3, 30)).words, key=lambda u: u.key)
+            enumeration = sorted(explore(sigma, w, SearchBounds(7, 3, 30)).words, key=lambda u: u.key)
             candidate = {w} | set(rng.sample(enumeration, rng.randint(0, len(enumeration))))
             if rng.random() < 0.3:
                 candidate |= set(enumeration)
@@ -1137,29 +1136,29 @@ class TestIsoterms:
             (parse_word("x^2"), Presentation.of("x^2 = x^3")),
             (parse_word("x"), Presentation.of("x^2 = x^3")),
         ]:
-            enumeration = enumerate_class(word, sigma, SearchBounds(12, 10))
+            enumeration = explore(sigma, word, SearchBounds(12, 10))
             singleton = enumeration.saturated and enumeration.words == frozenset({word})
             assert isoterm_exact(word, sigma) == singleton
 
 
 class TestEnumerateClass:
     def test_capped_infinite_class_still_reaches(self):
-        enumeration = enumerate_class(parse_word("xyxy"), SIGMA_E, SearchBounds(6, 10))
+        enumeration = explore(SIGMA_E, parse_word("xyxy"), SearchBounds(6, 10))
         assert not enumeration.saturated
         assert parse_word("yxyx") in enumeration.words
 
     def test_odd_powers_exceed_cap(self):
-        enumeration = enumerate_class(parse_word("x"), POWER, SearchBounds(7, 10, 100))
+        enumeration = explore(POWER, parse_word("x"), SearchBounds(7, 10, 100))
         assert not enumeration.saturated
         assert enumeration.words == {parse_word(w) for w in ("x", "x^3", "x^5", "x^7")}
 
     def test_complete_singleton(self):
-        enumeration = enumerate_class(parse_word("yxyxx"), SIGMA_Y1)
+        enumeration = explore(SIGMA_Y1, parse_word("yxyxx"))
         assert enumeration.saturated
         assert enumeration.words == frozenset({parse_word("yxyxx")})
 
     def test_complete_matches_exact_class(self):
-        enumeration = enumerate_class(parse_word("xyxyx"), SIGMA_X1)
+        enumeration = explore(SIGMA_X1, parse_word("xyxyx"))
         assert enumeration.saturated
         verdict = class_closure_verify(enumeration.words, parse_word("xyxyx"), SIGMA_X1)
         assert isinstance(verdict, ExactClass)
