@@ -6,10 +6,14 @@ meet/join composite.  Query verdicts are three-valued: No answers are only
 ever produced from exact evidence, and Unknown records whether bounds or
 composition is the obstacle.
 
-A presented handle searches only when the search can change the verdict: a
-built-in that satisfies every identity of the presentation lies in its
-variety (Birkhoff), so when such a built-in fails u = v, so does the
-variety, and the answer is an exact No without any search.
+Every handle knows built-ins that lie in it, its models: by Birkhoff a
+built-in lies in var(S) exactly when it satisfies S, so a built-in's models
+are those satisfying its basis (T, which has none, contains only T), and a
+presented handle's those satisfying its presentation; a meet's are those of
+every part, a join's those of some part.  When a model fails u = v, so does
+the variety, and a handle other than a built-in answers an exact No without
+any search.  A presented Yes reads the search (whether it reached v);
+certificates come only from derive.
 Composite handles evaluate their parts in the order given and stop at the
 first part whose answer decides the composite.  A join isoterm reads only
 complete part classes, so the search for a part's class is abandoned at its
@@ -78,6 +82,12 @@ class BuiltinKind(Enum):
 class Builtin:
     kind: BuiltinKind
 
+    @cached_property
+    def _models(self) -> frozenset[BuiltinKind]:
+        """The built-ins that lie in this one."""
+        basis = _BUILTINS[self.kind].basis
+        return frozenset({BuiltinKind.T}) if basis is None else _models_of(basis)
+
 
 @dataclass(frozen=True)
 class Presented:
@@ -91,9 +101,7 @@ class Presented:
 
     @cached_property
     def _models(self) -> frozenset[BuiltinKind]:
-        """The built-ins that satisfy every identity, so lie in the variety."""
-        identities = self.presentation.identities
-        return frozenset(kind for kind in _BUILTINS if all(_holds(kind, ident) for ident in identities))
+        return _models_of(self.presentation)
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,10 @@ class Meet:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("meet of an empty list")
+
+    @cached_property
+    def _models(self) -> frozenset[BuiltinKind]:
+        return frozenset.intersection(*(part._models for part in self.parts))
 
     @cached_property
     def _union(self) -> Presented | None:
@@ -119,6 +131,10 @@ class Join:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("join of an empty list")
+
+    @cached_property
+    def _models(self) -> frozenset[BuiltinKind]:
+        return frozenset().union(*(part._models for part in self.parts))
 
 
 VarietyHandle = Builtin | Presented | Meet | Join
@@ -208,6 +224,11 @@ def _holds(kind: BuiltinKind, identity: Identity) -> bool:
     return invariant(identity.lhs) == invariant(identity.rhs)
 
 
+def _models_of(sigma: Presentation) -> frozenset[BuiltinKind]:
+    """The built-ins that satisfy every identity of sigma, so lie in its variety."""
+    return frozenset(kind for kind in _BUILTINS if all(_holds(kind, ident) for ident in sigma.identities))
+
+
 def _every_part(answers: Iterable[Verdict]) -> Verdict:
     """No if some answer is No, Yes if all are Yes, otherwise Unknown
     (composition).  Stops at the first No."""
@@ -221,10 +242,8 @@ def _every_part(answers: Iterable[Verdict]) -> Verdict:
 
 
 def _derived(handle: Presented, identity: Identity, bounds: SearchBounds | None) -> Verdict:
-    """No, without a search, when a built-in model of the presentation fails
-    the identity; otherwise Yes on a bounded derivation, else Unknown (bounds)."""
-    if not all(_holds(kind, identity) for kind in handle._models):
-        return Verdict.NO
+    """Yes when the bounded search from one side reaches the other, else
+    Unknown (bounds); the caller has asked the handle's models."""
     u, v = identity.lhs, identity.rhs
     # explore stopping at its own start word would run its whole search
     if u == v or v in explore(handle.presentation, u, bounds, stop_at=v):
@@ -235,9 +254,10 @@ def _derived(handle: Presented, identity: Identity, bounds: SearchBounds | None)
 def satisfies(handle: VarietyHandle, identity: Identity, bounds: SearchBounds | None = None) -> Verdict:
     """Whether the variety satisfies the identity.
 
-    Built-ins answer exactly.  Presented handles answer No, without any
-    search, when a built-in in the variety fails the identity; otherwise Yes
-    on a successful bounded derivation and Unknown otherwise.
+    Built-ins answer exactly.  Every other handle answers No, without any
+    search, when one of its models (a built-in in the variety) fails the
+    identity.  Otherwise a presented handle answers Yes when a bounded search
+    from one side reaches the other and Unknown (bounds) when it does not.
     A join satisfies exactly the identities all its components satisfy; a
     meet satisfies at least the identities of each component and everything
     derivable from the union of component presentations.  Components are
@@ -246,17 +266,19 @@ def satisfies(handle: VarietyHandle, identity: Identity, bounds: SearchBounds | 
     """
     if isinstance(handle, Builtin):
         return Verdict.YES if _holds(handle.kind, identity) else Verdict.NO
+    if not isinstance(handle, (Presented, Meet, Join)):
+        raise TypeError(f"not a variety handle: {handle!r}")
+    if not all(_holds(kind, identity) for kind in handle._models):
+        return Verdict.NO
     if isinstance(handle, Presented):
         return _derived(handle, identity, bounds)
     if isinstance(handle, Join):
         return _every_part(satisfies(part, identity, bounds) for part in handle.parts)
-    if isinstance(handle, Meet):
-        if any(satisfies(part, identity, bounds).is_yes for part in handle.parts):
-            return Verdict.YES
-        if handle._union is not None:
-            return _derived(handle._union, identity, bounds)
-        return Verdict.UNKNOWN_COMPOSITION
-    raise TypeError(f"not a variety handle: {handle!r}")
+    if any(satisfies(part, identity, bounds).is_yes for part in handle.parts):
+        return Verdict.YES
+    if handle._union is not None:
+        return _derived(handle._union, identity, bounds)
+    return Verdict.UNKNOWN_COMPOSITION
 
 
 def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = None) -> Verdict:

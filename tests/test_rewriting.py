@@ -980,6 +980,9 @@ class TestDerive:
     def test_derive_matches_exploration(self):
         b = SearchBounds(8, 8)
         exp = explore(SIGMA_E, parse_word("xyxy"), b)
+        assert all(target in exp for target in exp.words)
+        # other content, and a reached code over other letters
+        assert parse_word("x") not in exp and parse_word("zwzw") not in exp
         for target in sorted(exp.words, key=lambda w: w.key)[:10]:
             cert = derive(SIGMA_E, parse_word("xyxy"), target, b)
             assert cert is not None
