@@ -53,11 +53,10 @@ search, explore, whose Exploration answers whether it reached a word (`in`):
 derive stops it at its target (and skips it for two words of different
 content, which no content-balanced rule connects), and class_closure_verify
 reads each member's complete successor list for closure and runs explore for
-connectivity.  A caller that can use only a complete
-class asks explore with complete_only, which gives up the first time the
-search prunes (a memo entry with a cap, a successor past the length cap, or
-the state cap): a closure that prunes never saturates, so the rest of the
-search is wasted.
+connectivity.  A caller that can use only a complete class asks explore with
+complete_only, which gives up the first time the search prunes (a memo entry
+with a cap, a successor past the length cap, or the state cap): a closure
+that prunes never saturates, so the rest of the search is wasted.
 """
 
 from __future__ import annotations
@@ -753,8 +752,9 @@ class Exploration:
     of the start word under the fully invariant congruence of the presented
     variety.  ``parents`` maps the engine's internal code of each visited
     word over ``alphabet`` to its parent's code (None for the start), and
-    ``rewriter`` reads the step between them; use ``words`` and
-    ``certificate_to`` for Words and steps.
+    ``rewriter`` reads the step between them; ``w in`` an Exploration tells
+    whether the search reached w, and ``words`` and ``certificate_to`` give
+    Words and steps.
     """
 
     start: Word
