@@ -17,12 +17,11 @@ rejected with ContentUnbalancedError instead of being silently truncated.
 
 All searches go through one Rewriter per presentation, which the
 Presentation object holds.  A Rewriter holds the compiled rules (both
-orientations) and its memo counters.  Each rule runs as a kernel, which
-matches by nested loops generated as Python source and measures every
-successor before building it: first its rewritten side's matcher, compiled
-once per side and given the replacing side as data, and once its shape has
-run often, a kernel compiled for the whole shape.  A successor longer than
-the length cap is never built; it only marks the entry as capped.
+orientations) and its memo counters.  Each rule runs as a kernel: the
+matcher of its rewritten side, nested loops generated as Python source and
+compiled once per side, given the replacing side as data.  It measures every
+successor before building it; a successor longer than the length cap is
+never built, it only marks the entry as capped.
 
 Successors are memoised in one dict keyed by (owner, word code), the owner
 being a rewriter's rule shapes in order or one rule's shape, and every entry
@@ -352,34 +351,21 @@ def _pattern(letters: tuple[Variable, ...]) -> tuple[tuple, tuple[Variable, ...]
     return tuple(runs), tuple(slots)
 
 
-# Rule kernels.  A kernel is Python source generated from a rule's shape and
-# compiled: the runs of its rewritten side and the slot runs of its replacing
-# side, so rules that differ only in their variables' names share one kernel.
+# Rule kernels.  A rule's matcher is generated as Python source from the runs
+# of its rewritten side and compiled once per side, so rules that differ only
+# in their variables' names or in their replacing sides share one matcher.
 # The source is built from integers and fixed identifiers only; no variable
 # name or other user text ever enters it.  It holds one for loop per
 # variable, in order of first occurrence, trying images of increasing length,
 # and one startswith per later run of a bound variable, so matches come in
 # depth-first order.  CPython allows 20 statically nested blocks, so the loops
-# are cut into chained functions of _NEST variables each; and a side is
-# emitted by runs (v0 * 5001) in one flat join, never as a + chain, whose
-# compilation recurses once per term.
-#
-# Compiling a kernel costs about as much as ten to twenty runs of it, and most
-# shapes run only a few times in a process, so one generator emits two forms.
-# A matcher is compiled once per rewritten side and takes the replacing side as
-# data: each slot's growth, whether its loop may break early, the least image
-# length it tries, and the picks and repeats that build the successor.  Every
-# shape's kernel starts as its side's matcher with that data bound, which
-# compiles nothing; its specialised kernel, with the data written in as
-# constants and no picks, is compiled once the shape has run _HOT_RUNS times.
-# Both forms find the same matches in the same order.  _HOT_RUNS = 64 was
-# chosen by process CPU per fresh-interpreter bench pass (2 vCPUs, Python
-# 3.11.7): a variety_queries pass runs each shape 1 to 64 times and at 64
-# compiles its 15 matchers and no specialised kernel, where 16 compiled 38 and
-# ran slower; a closure_sweep pass runs each of its 9 shapes about 256 times,
-# and ran slower with no specialising at all than at 64.
+# are cut into chained functions of _NEST variables each.  The matcher takes
+# the replacing side as data: each slot's growth, whether its loop may break
+# early, the least image length it tries, and the picks and repeats that build
+# the successor, so a rule's kernel is its side's matcher with that data bound
+# and compiles nothing.  A repeated image is one string multiplication, never
+# a + chain, whose compilation would recurse once per term.
 _NEST = 18
-_HOT_RUNS = 64
 
 
 def _drop(runs, slot: int) -> list[tuple[int, int]]:
@@ -409,16 +395,14 @@ def _replacing(runs: tuple, dst: tuple) -> tuple[tuple[int, ...], tuple[bool, ..
     return tuple(growth), breaks, starts
 
 
-def _source(runs: tuple, dst: tuple | None = None) -> str:
-    """The source of k0(s, limit, found, over) -> over, the kernel of the
-    pattern given as runs by _pattern rewritten to dst; with dst None, of the
-    matcher k0(growth, breaks, starts, pick, repeats, s, limit, found, over),
-    which reads the replacing side from _replacing's tuples and the
-    successor's parts from pick, an itemgetter over (s[:i], the images by slot,
-    s[end:]), each part repeated by repeats unless that is None."""
-    generic = dst is None
-    if not generic:
-        growth, breaks, starts = _replacing(runs, dst)
+@lru_cache(maxsize=1024)
+def _matcher(runs: tuple) -> Callable:
+    """The compiled matcher k0(growth, breaks, starts, pick, repeats, s,
+    limit, found, over) -> over of the pattern given as runs by _pattern,
+    shared by every replacing side.  It reads the replacing side from
+    _replacing's tuples and the successor's parts from pick, an itemgetter
+    over (s[:i], the images by slot, s[end:]), each part repeated by repeats
+    unless that is None."""
     levels: list[tuple[int, list[tuple[int, int]]]] = []  # per slot: first repeat, later runs
     occurrences: list[int] = []
     for slot, repeat, first, count in runs:
@@ -436,7 +420,7 @@ def _source(runs: tuple, dst: tuple | None = None) -> str:
         ahead[k][k] += repeat
         for j, r in later:
             ahead[k][j] += r
-    data = "growth, breaks, starts, pick, repeats, " if generic else ""
+    data = "growth, breaks, starts, pick, repeats, "
     lengths = ", ".join(f"l{j}" for j in range(m)) + ("," if m == 1 else "")
     lines: list[str] = []
 
@@ -455,7 +439,7 @@ def _source(runs: tuple, dst: tuple | None = None) -> str:
         else:
             emit(0, f"def k{c}({data}s, n, limit, found, i, h, over, g{low}, {carried(low)}a{low}):")
             g = f"g{low}"
-        if generic and high > low:
+        if high > low:
             for name, values in (("d", "growth"), ("b", "breaks"), ("e", "starts")):
                 emit(1, f"{''.join(f'{name}{k}, ' for k in range(low, high))}= {values}[{low}:{high}]")
         depth = 1
@@ -469,20 +453,13 @@ def _source(runs: tuple, dst: tuple | None = None) -> str:
             room = f"n - a{k}" + "".join(f" - {_times(f'l{j}', ahead[k][j])}" for j in range(k) if ahead[k][j])
             if occurrences[k] > 1:
                 room = f"({room}) // {occurrences[k]}"
-            emit(depth, f"for l{k} in range({f'e{k}' if generic else starts[k]}, {room} + 1):")
+            emit(depth, f"for l{k} in range(e{k}, {room} + 1):")
             depth += 1
-            if generic:
-                emit(depth, f"g{k + 1} = {g} + d{k} * l{k}")
-                g = f"g{k + 1}"
-                emit(depth, f"if b{k} and over and {g} > limit:")
-                emit(depth + 1, "break")
-            elif growth[k]:
-                emit(depth, f"g{k + 1} = {g} {'+' if growth[k] > 0 else '-'} {_times(f'l{k}', abs(growth[k]))}")
-                g = f"g{k + 1}"
-                if breaks[k]:
-                    # every later match at this position is longer still
-                    emit(depth, f"if over and {g} > limit:")
-                    emit(depth + 1, "break")
+            emit(depth, f"g{k + 1} = {g} + d{k} * l{k}")
+            g = f"g{k + 1}"
+            # every later match at this position is longer still
+            emit(depth, f"if b{k} and over and {g} > limit:")
+            emit(depth + 1, "break")
             emit(depth, f"a{k + 1} = a{k} + l{k}")
             emit(depth, f"v{k} = s[a{k}:a{k + 1}]")
             for j, r in ([(k, repeat - 1)] if repeat > 1 else []) + later:
@@ -492,64 +469,25 @@ def _source(runs: tuple, dst: tuple | None = None) -> str:
         if high < m:
             emit(depth, f"over = k{c + 1}({data}s, n, limit, found, i, h, over, {g}, {carried(high)}a{high})")
         else:
-            if generic or any(growth):
-                emit(depth, f"if {g} > limit:")
-                emit(depth + 1, "over = True")
-                emit(depth, "else:")
-                depth += 1
-            if generic:
-                emit(depth, f"parts = (h, {''.join(f'v{j}, ' for j in range(m))}s[a{m}:])")
-                emit(depth, 'q = "".join(pick(parts) if repeats is None else map(mul, pick(parts), repeats))')
-            else:
-                parts = "".join(f"{_times(f'v{j}', r)}, " for j, r in dst)
-                emit(depth, f'q = "".join((h, {parts}s[a{m}:]))')
-            emit(depth, "if q not in found:")
-            emit(depth + 1, f"found[q] = (i, a{m}, ({lengths}))")
+            emit(depth, f"if {g} > limit:")
+            emit(depth + 1, "over = True")
+            emit(depth, "else:")
+            emit(depth + 1, f"parts = (h, {''.join(f'v{j}, ' for j in range(m))}s[a{m}:])")
+            emit(depth + 1, 'q = "".join(pick(parts) if repeats is None else map(mul, pick(parts), repeats))')
+            emit(depth + 1, "if q not in found:")
+            emit(depth + 2, f"found[q] = (i, a{m}, ({lengths}))")
         emit(1, "return over")
-    return "\n".join(lines) + "\n"
-
-
-def _load(source: str) -> Callable:
     namespace: dict = {"mul": mul}
-    exec(compile(source, "<monvar kernel>", "exec"), namespace)
+    exec(compile("\n".join(lines) + "\n", "<monvar kernel>", "exec"), namespace)
     return namespace["k0"]
 
 
 @lru_cache(maxsize=1024)
-def _matcher(runs: tuple) -> Callable:
-    """The compiled matcher of a rewritten side, shared by every replacing side."""
-    return _load(_source(runs))
-
-
-class _Kernel:
-    """The kernel of one rule shape, and how many times it has run.  It runs
-    as its side's matcher with the replacing side bound as data until it has
-    run _HOT_RUNS times, then as its specialised kernel, compiled then."""
-
-    __slots__ = ("runs", "dst", "count", "run")
-
-    def __init__(self, runs: tuple, dst: tuple):
-        growth, breaks, starts = _replacing(runs, dst)
-        # (s[:i], v0 .. v(m-1), s[end:]) picked in dst's order, h and the
-        # tail too, so that pick always returns a tuple
-        pick = itemgetter(0, *(1 + j for j, _ in dst), len(growth) + 1)
-        repeats = None if all(r == 1 for _, r in dst) else (1, *(r for _, r in dst), 1)
-        self.runs, self.dst, self.count = runs, dst, 0
-        self.run = partial(_matcher(runs), growth, breaks, starts, pick, repeats)
-
-    def __call__(self, s: str, limit: float, found: dict, over: bool) -> bool:
-        if self.count == _HOT_RUNS:
-            self.run = _load(_source(self.runs, self.dst))
-        self.count += 1
-        return self.run(s, limit, found, over)
-
-
-@lru_cache(maxsize=1024)
-def _kernel(runs: tuple, dst: tuple) -> _Kernel:
+def _kernel(runs: tuple, dst: tuple) -> Callable:
     """The kernel of a pattern given as runs by _pattern, rewritten to dst,
-    the (slot, repeat) runs of the replacing side.  The lru_cache bounds the
-    run counts and specialised kernels a process keeps, besides those of the
-    rules of its live rewriters.
+    the (slot, repeat) runs of the replacing side: its side's matcher with
+    the replacing side bound as data, so building it compiles nothing once
+    the side's matcher exists.
 
     It is kernel(s, limit, found, over) -> over, for a limit of at least
     len(s).  For every start i in ascending order and every match of
@@ -560,9 +498,14 @@ def _kernel(runs: tuple, dst: tuple) -> _Kernel:
     every renaming of s's letters; Rewriter._step slices the images back out
     of s.  A longer one is never built and only sets the returned flag.  The
     matches within any limit come in the same order, so q's record is the
-    same under every limit of at least len(q), and whichever form ran.
+    same under every limit of at least len(q).
     """
-    return _Kernel(runs, dst)
+    growth, breaks, starts = _replacing(runs, dst)
+    # (s[:i], v0 .. v(m-1), s[end:]) picked in dst's order, h and the tail
+    # too, so that pick always returns a tuple
+    pick = itemgetter(0, *(1 + j for j, _ in dst), len(growth) + 1)
+    repeats = None if all(r == 1 for _, r in dst) else (1, *(r for _, r in dst), 1)
+    return partial(_matcher(runs), growth, breaks, starts, pick, repeats)
 
 
 class _Rule(NamedTuple):
@@ -662,10 +605,10 @@ class Rewriter:
     Get it with Rewriter.of(sigma): each Presentation object builds its own
     once and keeps it, so its counters count that object's lookups.  Each
     rule carries the kernel of its shape, shared by every rule of that shape
-    in any presentation: its rewritten side's matcher until the shape has run
-    _HOT_RUNS times, then a kernel compiled for the shape; either computes
-    each match's successor length first and builds only the successors
-    within the cap.
+    in any presentation: its rewritten side's matcher, compiled once per
+    side, with the replacing side bound as data.  A kernel computes each
+    match's successor length first and builds only the successors within
+    the cap.
 
     Its memo entries, keyed by its rule shapes in order and a word code,
     list the union of the codes its rules' shapes hold for the word's

@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 import weakref
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import pytest
 
@@ -344,14 +344,6 @@ def reference_certificate(parents, start, target):
     return DerivationCertificate(start, tuple(reversed(steps)))
 
 
-def fresh_kernels(monkeypatch):
-    """Give every rule built from here on a kernel that has not run yet, from
-    a cache with _kernel's bound, and leave the module's own cache untouched
-    (rewriters kept on shared presentations hold its kernels)."""
-    kernel = rewriting._kernel
-    monkeypatch.setattr(rewriting, "_kernel", lru_cache(maxsize=kernel.cache_info().maxsize)(kernel.__wrapped__))
-
-
 class TestSuccessorOracle:
     # x2 and x10 sort as "x10" < "x2", unlike their indices
     NAMES = (Variable("x2"), Variable("x10"), Variable("y"))
@@ -501,73 +493,6 @@ class TestSuccessorOracle:
                 entry = rewriter._expand(s, cap)
                 # codes, order and links (rule and images included) and the kept cap
                 assert resolved(rewriter, s, entry) == reference_expand(sigma, s, cap), (sigma, word, cap)
-
-    def test_matcher_and_specialised_kernel_record_alike(self):
-        # every rule shape of the reference bases, E and seeded systems, run
-        # as its side's matcher with the replacing side as data and as its
-        # specialised kernel, on every first-occurrence code up to length 6
-        # over three letters (the codes kernels are given); then x^1200 =
-        # x^1201 and the chained nests of the generic-matcher test on a few
-        rng = random.Random(3303)
-        kinds = (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB)
-        systems = [reference_presentation(kind) for kind in kinds] + [SIGMA_E]
-        systems.append(self.random_system(rng))
-        codes = [""]
-        for n in range(6):
-            codes += [s + chr(k) for s in codes if len(s) == n for k in range(min(3, len(set(s)) + 1))]
-        assert len(codes) == 186
-        cases = {rule.shape: codes for sigma in systems for rule in Rewriter(sigma)._rules}
-        reversal = [Variable(f"x{i}") for i in range(25)]
-        x0, x3 = reversal[0], reversal[3]
-        long = [
-            (Presentation.of("x^1200 = x^1201"), ["\0" * 1200, "\0" * 1201, "\0" + "\1" * 1201 + "\0"]),
-            (Presentation((Identity(Word(reversal), Word(reversal[::-1])),)), ["\0\1"]),
-            (
-                Presentation((Identity(Word([*reversal[:20], x0, reversal[20], x3]), Word([*reversal[:21], x3, x3])),)),
-                ["\0\1\0"],
-            ),
-        ]
-        for sigma, words in long:
-            for rule in Rewriter(sigma)._rules:
-                cases[rule.shape] = words
-        runs = 0
-        for shape, words in cases.items():
-            matcher = rewriting._Kernel(*shape).run
-            specialised = rewriting._load(rewriting._source(*shape))
-            for s in words:
-                for limit in (len(s), len(s) + 2, math.inf):
-                    found = [{s: ()}, {s: ()}]
-                    over = [matcher(s, limit, found[0], False), specialised(s, limit, found[1], False)]
-                    assert list(found[0].items()) == list(found[1].items()) and over[0] == over[1], (shape, s, limit)
-                    runs += len(found[0]) > 1
-        assert len(cases) >= 18 and runs >= 2_000, (len(cases), runs)
-
-    def test_answers_do_not_depend_on_when_shapes_specialise(self, monkeypatch):
-        # seeded searches and certificates, with every shape specialised
-        # after its first run and with none ever specialised
-        rng = random.Random(7741)
-        systems = [SIGMA_E, *(self.random_system(rng) for _ in range(4))]
-        words = [Word(rng.choices(self.NAMES, k=rng.randint(1, 5))) for _ in range(2)]
-        results, specialised = [], []
-        for hot_runs in (1, 10**9):
-            monkeypatch.setattr(rewriting, "_HOT_RUNS", hot_runs)
-            fresh_kernels(monkeypatch)
-            clear_successor_cache()
-            answers = []
-            fresh = [Presentation(sigma.identities) for sigma in systems]  # fresh objects, so fresh rewriters
-            for sigma in fresh:
-                bounds = SearchBounds(6, 4, 60)
-                for u in words:
-                    explored = explore(sigma, u, bounds)
-                    reached = sorted(explored.words, key=lambda w: w.key)
-                    certificates = [format_certificate(explored.certificate_to(v)) for v in reached]
-                    answers.append((explored.parents, explored.saturated, certificates))
-                rewriter = Rewriter.of(sigma)
-                answers.append((rewriter.calls, rewriter.misses, rewriter.kernel_runs))
-            specialised.append(sum(rule.kernel.count > hot_runs for sigma in fresh for rule in Rewriter.of(sigma)._rules))
-            results.append(answers)
-        assert results[0] == results[1] and specialised[0] > 0 == specialised[1], specialised
-        clear_successor_cache()
 
     def test_shared_shape_memos_change_no_answer(self):
         # pairs that share rule shapes under another identity index,
@@ -907,31 +832,34 @@ class TestRewriter:
         assert (Rewriter.of(rebuilt).misses, Rewriter.of(rebuilt).kernel_runs) == (0, 0)
         clear_successor_cache()
 
-    def test_dropping_a_shape_kernel_keeps_its_state_bounded(self, monkeypatch):
-        # a shape's run count and specialised kernel go with its _kernel
-        # entry: past the bound the oldest entries leave, and a rule of a
-        # dropped shape built again explores alike and counts its runs afresh
-        monkeypatch.setattr(rewriting, "_HOT_RUNS", 2)
-        fresh_kernels(monkeypatch)
+    def test_kernels_past_the_bound_share_one_matcher(self, monkeypatch):
+        # a kernel compiles nothing and goes with its _kernel entry: more
+        # replacing sides of one rewritten side than the bound leave _kernel
+        # at its bound and compile one matcher, and a rule of a dropped shape
+        # built again gets a new kernel on the same matcher that explores
+        # alike; it runs on a new _kernel cache with the same bound, so that
+        # the module's own keeps the kernels rewriters on shared presentations
+        # hold
+        kernel = rewriting._kernel
+        monkeypatch.setattr(rewriting, "_kernel", lru_cache(maxsize=kernel.cache_info().maxsize)(kernel.__wrapped__))
         clear_successor_cache()
         bounds = SearchBounds(8, 8)
         dropped = Presentation.of("x = x^3")
         explored = explore(dropped, parse_word("x"), bounds)
-        grow = Rewriter.of(dropped)._rules[0].kernel  # x -> x^3, specialised after 2 runs
-        assert grow.count == 4 and not isinstance(grow.run, partial)
+        grow = Rewriter.of(dropped)._rules[0].kernel
         del dropped
         bound = rewriting._kernel.cache_info().maxsize
         runs, _ = rewriting._pattern(parse_word("xy").letters)
+        compiled = rewriting._matcher.cache_info().misses
         for k in range(1, bound + 2):  # xy -> yx^k, more shapes than the bound
-            rewriting._kernel(runs, ((1, 1), (0, k)))
-        kernels, matchers = rewriting._kernel.cache_info(), rewriting._matcher.cache_info()
-        assert kernels.currsize == bound and matchers.currsize <= matchers.maxsize == bound
+            assert rewriting._kernel(runs, ((1, 1), (0, k))).func is rewriting._matcher(runs)
+        assert rewriting._kernel.cache_info().currsize == bound
+        assert rewriting._matcher.cache_info().misses <= compiled + 1
         clear_successor_cache()
         rebuilt = Presentation.of("x = x^3")
         again = Rewriter.of(rebuilt)._rules[0].kernel
-        assert again is not grow and again.count == 0 and isinstance(again.run, partial)
+        assert again is not grow and again.func is grow.func
         assert explore(rebuilt, parse_word("x"), bounds) == explored
-        assert again.count == grow.count and not isinstance(again.run, partial)
         clear_successor_cache()
 
     def test_dropped_presentation_is_freed_without_the_collector(self):
