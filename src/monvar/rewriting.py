@@ -50,13 +50,14 @@ a RewriteStep is built only for a certificate or for one_step_successors.
 
 isoterm_exact reads one memo entry, and every other exact operation wraps one
 search, explore, whose Exploration answers whether it reached a word (`in`):
-derive stops it at its target (and skips it for two words of different
-content, which no content-balanced rule connects), and class_closure_verify
-reads each member's complete successor list for closure and runs explore for
-connectivity.  A caller that can use only a complete class asks explore with
-complete_only, which gives up the first time the search prunes (a memo entry
-with a cap, a successor past the length cap, or the state cap): a closure
-that prunes never saturates, so the rest of the search is wasted.
+derive stops it at its target (where it ends at once, with no successor
+lookup, for its start and for a word of other content, which no
+content-balanced rule reaches), and class_closure_verify reads each member's
+complete successor list for closure and runs explore for connectivity.  A
+caller that can use only a complete class asks explore with complete_only,
+which gives up the first time the search prunes (a memo entry with a cap, a
+successor past the length cap, or the state cap): a closure that prunes
+never saturates, so the rest of the search is wasted.
 """
 
 from __future__ import annotations
@@ -831,14 +832,17 @@ def explore(
     """Breadth-first search over one-step successors from start.
 
     Words are visited in shortlex order within each level, and the search
-    stops early when stop_at is discovered.  Successors longer than the
-    length cap are never visited.  A word expanded for this search keeps
-    only its successors within max(cap, len(start)), and its memo entry
-    notes that a longer one exists, which keeps the closure from counting
-    as saturated; an entry built earlier for a larger cap may hold longer
-    ones, and those are pruned by their length.  An unset length cap is
-    default_bounds(sigma, start, stop_at)'s, and the Exploration records the
-    caps used.
+    stops early when stop_at is discovered.  It ends at once, with no
+    successor lookup, when stop_at is start, which it has then reached, or
+    has other content, which it never reaches: content-balanced rules keep
+    content.  A search that ends early is never saturated.  Successors
+    longer than the length cap are never visited.  A word expanded for this
+    search keeps only its successors within max(cap, len(start)), and its
+    memo entry notes that a longer one exists, which keeps the closure from
+    counting as saturated; an entry built earlier for a larger cap may hold
+    longer ones, and those are pruned by their length.  An unset length cap
+    is default_bounds(sigma, start, stop_at)'s, and the Exploration records
+    the caps used.
 
     With complete_only, the search gives up the first time it prunes: at a
     word whose memo entry has a cap, before taking any of its successors, or
@@ -853,17 +857,20 @@ def explore(
         extra = (stop_at,) if stop_at is not None else ()
         bounds = replace(bounds, max_word_length=default_bounds(sigma, start, *extra).max_word_length)
     alphabet, origin = _encode(start)
+    parents: dict[str, str | None] = {origin: None}
+    stopped = partial(Exploration, start, bounds, parents, False, alphabet, rewriter)
     target = None
     if stop_at is not None:
-        stop_alphabet, stop_code = _encode(stop_at)
-        if stop_alphabet == alphabet:  # rewriting preserves content
-            target = stop_code
+        stop_alphabet, target = _encode(stop_at)
+        # the start is reached at once; rewriting keeps content, so a word of
+        # other content never is
+        if stop_alphabet != alphabet or target == origin:
+            return stopped()
     max_length, max_states = bounds.max_word_length, bounds.max_states
     # Every visited word is at most limit long, so a successor longer than
     # limit, which the memo leaves out, is never a visited one: its existence
     # (the entry's cap) prunes exactly as its length would.
     limit = max(max_length, len(origin))
-    parents: dict[str, str | None] = {origin: None}
     frontier = [origin]
     pruned = False
     depth = 0
@@ -874,24 +881,19 @@ def explore(
             if overflow_cap is not None:
                 pruned = True
                 if complete_only:
-                    return Exploration(start, bounds, parents, False, alphabet, rewriter)
+                    return stopped()
             for q in successors:
                 if q in parents:
                     continue
-                if len(q) > max_length:
+                if len(q) > max_length or len(parents) >= max_states:
                     pruned = True
                     if complete_only:
-                        return Exploration(start, bounds, parents, False, alphabet, rewriter)
-                    continue
-                if len(parents) >= max_states:
-                    pruned = True
-                    if complete_only:
-                        return Exploration(start, bounds, parents, False, alphabet, rewriter)
+                        return stopped()
                     continue
                 parents[q] = p
                 next_frontier.append(q)
                 if q == target:
-                    return Exploration(start, bounds, parents, False, alphabet, rewriter)
+                    return stopped()
         _shortlex_sort(next_frontier)
         frontier = next_frontier
         depth += 1
@@ -911,16 +913,10 @@ def derive(
     Returns a certificate whose replay starts at u and ends at v, or None
     when the bounded search exhausts.  None is never a refutation; exact
     non-derivability only ever comes from a saturated class enumeration.
-    When u and v differ in content the answer is None at once, with no
-    search: content-balanced rules keep content, so v is never reached.
+    Two equal words, and two words of different content, are answered with
+    no search, by explore's early ends: the empty certificate, and None.
     """
-    Rewriter.of(sigma)  # rejects a system that is not content-balanced
-    if u == v:
-        return DerivationCertificate(u)
-    if content(u) != content(v):
-        return None
-    result = explore(sigma, u, bounds, stop_at=v)
-    return result.certificate_to(v)
+    return explore(sigma, u, bounds, stop_at=v).certificate_to(v)
 
 
 def verify_certificate(

@@ -245,8 +245,7 @@ def _derived(handle: Presented, identity: Identity, bounds: SearchBounds | None)
     """Yes when the bounded search from one side reaches the other, else
     Unknown (bounds); the caller has asked the handle's models."""
     u, v = identity.lhs, identity.rhs
-    # explore stopping at its own start word would run its whole search
-    if u == v or v in explore(handle.presentation, u, bounds, stop_at=v):
+    if v in explore(handle.presentation, u, bounds, stop_at=v):
         return Verdict.YES
     return Verdict.UNKNOWN_BOUNDS
 

@@ -293,6 +293,8 @@ def reference_explore(sigma, start, bounds, stop_at=None):
     admitted unless seen, longer than the length cap or past the state cap,
     stopping once stop_at is admitted."""
     parents = {start: None}
+    if stop_at == start:
+        return parents, False
     frontier = [start]
     pruned = False
     for _ in range(bounds.max_depth):
@@ -878,7 +880,11 @@ class TestRewriter:
                 gc.enable()
 
     def test_rules_of_one_shape_share_a_kernel(self):
-        sl, c = Rewriter.of(reference_presentation(BuiltinKind.SL)), Rewriter.of(reference_presentation(BuiltinKind.C))
+        # fresh presentations, so all three rewriters are built here, from
+        # one state of _kernel's cache: SL's and C's bases, and a renaming
+        sl = Rewriter.of(Presentation.of("x^2 = x", "xy = yx"))
+        c = Rewriter.of(Presentation.of("x^2 = x^3", "xy = yx"))
+        renamed = Rewriter.of(Presentation.of("zx = xz"))
 
         def commuting(rewriter):
             (rule,) = [r for r in rewriter._rules if r.variables == (X, Y)]
@@ -886,7 +892,7 @@ class TestRewriter:
 
         assert commuting(sl) is commuting(c)
         # xy = yx and zx = xz differ only in their variables' names
-        assert Rewriter(Presentation.of("zx = xz"))._rules[0].kernel is commuting(sl)
+        assert renamed._rules[0].kernel is commuting(sl)
         assert rewriting._kernel.cache_info().maxsize is not None
 
     def test_kernel_runs_skip_shapes_another_rewriter_matched(self):
@@ -1004,6 +1010,14 @@ class TestDerive:
         calls = rewriter.calls
         assert derive(SIGMA_E, parse_word("x"), parse_word("xy")) is None
         assert derive(SIGMA_E, parse_word("xy^2"), parse_word("x^2"), SearchBounds(8, 8)) is None
+        # explore itself ends at once when stop_at has other content or is its start
+        x, xy, xyxy = parse_word("x"), parse_word("xy"), parse_word("xyxy")
+        apart = explore(SIGMA_E, x, stop_at=xy)
+        assert xy not in apart and (apart.words, apart.saturated) == ({x}, False)
+        home = explore(SIGMA_E, xyxy, stop_at=xyxy)
+        assert (home.words, home.saturated) == ({xyxy}, False)
+        assert home.certificate_to(xyxy) == DerivationCertificate(xyxy)
+        assert derive(SIGMA_E, xyxy, xyxy) == DerivationCertificate(xyxy)
         assert rewriter.calls == calls
         with pytest.raises(ContentUnbalancedError):
             derive(Presentation.of("xy = x"), parse_word("x"), parse_word("xy"))
