@@ -38,13 +38,8 @@ def _bounds_from_args(args) -> SearchBounds:
     return SearchBounds(**{cap: value for cap, value in flags.items() if value is not None})
 
 
-def _load_system(path: str) -> Presentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Presentation.parse(fh.read())
-
-
 def _cmd_derive(args) -> int:
-    sigma = _load_system(args.system)
+    sigma = Presentation.read(args.system)
     cert = derive(sigma, parse_word(args.lhs), parse_word(args.rhs), _bounds_from_args(args))
     if cert is None:
         print("NotFoundWithinBounds")
@@ -64,11 +59,12 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_class(args) -> int:
-    sigma = _load_system(args.system)
+    sigma = Presentation.read(args.system)
     found = explore(sigma, parse_word(args.word), _bounds_from_args(args))
     status = "Complete" if found.saturated else "CapExceeded (partial)"
-    print(f"{status}: {len(found.words)} words")
-    for member in sorted(found.words, key=lambda w: w.key):
+    members = sorted(found.words, key=lambda w: w.key)
+    print(f"{status}: {len(members)} words")
+    for member in members:
         print(f"  {format_word(member)}")
     return 0
 
@@ -116,7 +112,7 @@ def _cmd_lattice(args) -> int:
         for p in props:
             mark = "yes" if label in truth[p] else "no"
             cells.append(mark.ljust(len(p.value)))
-        print(label.ljust(width) + " ".join(cells))
+        print((label.ljust(width) + " ".join(cells)).rstrip())
     return 0
 
 

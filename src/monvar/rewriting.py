@@ -15,38 +15,46 @@ use the same variable set.  A variable private to one side admits arbitrary
 images, which makes the successor set of a word infinite; such systems are
 rejected with ContentUnbalancedError instead of being silently truncated.
 
-All searches go through one Rewriter per presentation, which the
-Presentation object holds.  A Rewriter holds the compiled rules (both
-orientations) and its memo counters.  Each rule runs as a kernel: the
-matcher of its rewritten side, nested loops generated as Python source and
-compiled once per side, given the replacing side as data.  It measures every
-successor before building it; a successor longer than the length cap is
-never built, it only marks the entry as capped.
+Inside the engine a word is a code: a str with one character per letter,
+the i-th variable of its content in name order being chr(i), so shortlex
+order is string order.  Word stays the public type, and a RewriteStep is
+built only for a certificate or for one_step_successors.
 
-Successors are memoised in one dict keyed by (owner, word code), the owner
-being a rewriter's rule shapes in order or one rule's shape, and every entry
-holds the codes of the word's successors other than itself, and a cap.  A
-rule shape's entry maps each code its kernel gave the word to its link, for
-every presentation with a rule of that shape; a rewriter's lists the union
-of its rules' codes in shortlex order, and names no rule.  Rewriting commutes
-with renaming letters, so shape entries are keyed by the word's
-first-occurrence renaming (its k-th distinct letter becomes chr(k)), and one
-serves every word with that renaming; a link (prefix end, suffix start,
-image lengths) records each variable's image length, not its text, so it
-holds for every renaming too.  The shape entries are the only record of how
-a successor arises: a RewriteStep is read from the first rule whose entry
-holds it, with the images sliced out of its source.  A request caps
-successor length by a number, math.inf for all of them.  An entry holds a
-word's successors within the cap it was built under, and keeps that cap
-only when a longer successor exists.  An entry that left out nothing is
-complete and serves every cap; a request for a larger cap builds the entry
-again.  Past the budget the oldest entry leaves first, and a rebuilt entry
-counts as new.  Entries are hash-consed: each holds one shared object for
-every successor code and link it stores, from a table that the same budget
-bounds, so a value that recurs across entries is stored once.  Internally a
-word is a str with one character per letter, coded in the name order of its
-content, so shortlex order is string order; Word stays the public type, and
-a RewriteStep is built only for a certificate or for one_step_successors.
+All searches go through one Rewriter per presentation, which holds both
+orientations of every identity as rules.  Each rule runs as a kernel: its
+rewritten side's matcher, generated as Python source and compiled once per
+side, with the replacing side bound as data.  kernel(s, limit, found) ->
+over, for a limit of at least len(s), takes every start in ascending order
+and every match there, and computes the successor's length before building
+it.  A successor within limit is built and, if new to found, recorded as
+found[q] = (start, l0, ..., l(m-1)), its link: the image length of each
+variable by slot, not its text, so one link holds for every renaming of s's
+letters.  A longer successor is never built; it only sets over.  The matches
+within any limit come in one order, so q's link is the same under every
+limit of at least len(q), and Rewriter._step slices the images back out of
+s, from start to where the rewritten side's runs end.
+
+Successors are memoised in one dict keyed by (owner, code), and every entry
+holds the codes of the word's successors other than itself, and a cap.
+Rewriting commutes with renaming letters, so a rule shape's entry, under the
+shape and the word's first-occurrence renaming (its k-th distinct letter
+becomes chr(k)), maps each code its kernel gave that renaming to its link, for
+every word with that renaming in every presentation with a rule of that shape.
+A rewriter's entry, under the repr of its rule shapes in order and the word's
+own code, lists the union of its rules' codes, renamed back, in shortlex
+order, for every rewriter with the same shapes in the same order.  It names no
+rule: the shape entries are the only record of how a successor arises, and a
+RewriteStep is read from the first rule whose entry holds it, built again if
+it was evicted.  A request caps successor length by a number, math.inf for all
+of them.  An entry holds a word's successors within the cap it was built
+under, and keeps that cap only when a longer successor exists.  An entry that
+left out nothing is complete and serves every cap; a request for a larger cap
+builds the entry again.  Entries count one per word and one per successor
+held, at most MAX_MEMO_ENTRIES in all; past that the oldest entry leaves
+first, and a rebuilt entry counts as new.  Entries are hash-consed: each holds
+_SHARED's object for every code and link it stores, so a value that recurs
+across entries is stored once, and _SHARED is emptied before an entry is
+shared once it holds MAX_MEMO_ENTRIES objects.
 
 isoterm_exact reads one memo entry, and every other exact operation wraps one
 search, explore, whose Exploration answers whether it reached a word (`in`):
@@ -153,13 +161,7 @@ class Presentation:
     identities: tuple[Identity, ...] = ()
 
     def __post_init__(self):
-        deduped: list[Identity] = []
-        seen: set[Identity] = set()
-        for ident in self.identities:
-            if ident not in seen:
-                seen.add(ident)
-                deduped.append(ident)
-        object.__setattr__(self, "identities", tuple(deduped))
+        object.__setattr__(self, "identities", tuple(dict.fromkeys(self.identities)))
 
     @classmethod
     def of(cls, *texts: str) -> "Presentation":
@@ -176,6 +178,12 @@ class Presentation:
                 continue
             identities.append(Identity.parse(line))
         return cls(tuple(identities))
+
+    @classmethod
+    def read(cls, path: str) -> "Presentation":
+        """Parse the identity-system file at path."""
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.parse(fh.read())
 
     def format(self) -> str:
         return "".join(f"{ident}\n" for ident in self.identities)
@@ -302,13 +310,10 @@ class NotConnected:
     member: Word
 
 
-# Internal word codes.  Inside the engine a word is a str with one character
-# per letter: the i-th variable of the word's content, in name order, is
-# chr(i).  The map preserves order, so (len(s), s) sorts exactly as Word.key
-# does (x10 before x2 included), and slicing, startswith, hashing and equality
-# run in C.  Content-balanced rules preserve content, so every word of one
-# closure shares the alphabet of its start word.  Rewriting commutes with
-# renaming letters, so one code's successors serve every word it encodes.
+# Internal word codes.  Coding preserves order, so (len(s), s) sorts exactly
+# as Word.key does (x10 before x2 included), and slicing, startswith, hashing
+# and equality run in C.  Content-balanced rules preserve content, so every
+# word of one closure shares the alphabet of its start word.
 
 
 @lru_cache(maxsize=4096)
@@ -352,20 +357,16 @@ def _pattern(letters: tuple[Variable, ...]) -> tuple[tuple, tuple[Variable, ...]
     return tuple(runs), tuple(slots)
 
 
-# Rule kernels.  A rule's matcher is generated as Python source from the runs
-# of its rewritten side and compiled once per side, so rules that differ only
-# in their variables' names or in their replacing sides share one matcher.
-# The source is built from integers and fixed identifiers only; no variable
-# name or other user text ever enters it.  It holds one for loop per
-# variable, in order of first occurrence, trying images of increasing length,
-# and one startswith per later run of a bound variable, so matches come in
+# Rule kernels.  A matcher is built from its side's runs, so rules that differ
+# only in their variables' names or in their replacing sides share one.  Its
+# source is built from integers and fixed identifiers only; no variable name
+# or other user text ever enters it.  It holds one for loop per variable, in
+# order of first occurrence, trying images of increasing length, and one
+# startswith per later run of a bound variable, so matches come in
 # depth-first order.  CPython allows 20 statically nested blocks, so the loops
-# are cut into chained functions of _NEST variables each.  The matcher takes
-# the replacing side as data: each slot's growth, whether its loop may break
-# early, the least image length it tries, and the picks and repeats that build
-# the successor, so a rule's kernel is its side's matcher with that data bound
-# and compiles nothing.  A repeated image is one string multiplication, never
-# a + chain, whose compilation would recurse once per term.
+# are cut into chained functions of _NEST variables each.  A repeated image is
+# one string multiplication, never a + chain, whose compilation would recurse
+# once per term.
 _NEST = 18
 
 
@@ -399,11 +400,10 @@ def _replacing(runs: tuple, dst: tuple) -> tuple[tuple[int, ...], tuple[bool, ..
 @lru_cache(maxsize=1024)
 def _matcher(runs: tuple) -> Callable:
     """The compiled matcher k0(growth, breaks, starts, pick, repeats, s,
-    limit, found, over) -> over of the pattern given as runs by _pattern,
-    shared by every replacing side.  It reads the replacing side from
-    _replacing's tuples and the successor's parts from pick, an itemgetter
-    over (s[:i], the images by slot, s[end:]), each part repeated by repeats
-    unless that is None."""
+    limit, found) -> over of the pattern given as runs by _pattern.  It reads
+    the replacing side from _replacing's tuples and the successor's parts
+    from pick, an itemgetter over (s[:i], the images by slot, s[end:]), each
+    part repeated by repeats unless that is None."""
     levels: list[tuple[int, list[tuple[int, int]]]] = []  # per slot: first repeat, later runs
     occurrences: list[int] = []
     for slot, repeat, first, count in runs:
@@ -422,7 +422,6 @@ def _matcher(runs: tuple) -> Callable:
         for j, r in later:
             ahead[k][j] += r
     data = "growth, breaks, starts, pick, repeats, "
-    lengths = ", ".join(f"l{j}" for j in range(m)) + ("," if m == 1 else "")
     lines: list[str] = []
 
     def emit(depth: int, text: str) -> None:
@@ -435,8 +434,9 @@ def _matcher(runs: tuple) -> Callable:
     for c, low in enumerate(range(0, m, _NEST) if m else [0]):
         high = min(low + _NEST, m)
         if c == 0:
-            emit(0, f"def k0({data}s, limit, found, over):")
+            emit(0, f"def k0({data}s, limit, found):")
             emit(1, "n = len(s)")
+            emit(1, "over = False")
         else:
             emit(0, f"def k{c}({data}s, n, limit, found, i, h, over, g{low}, {carried(low)}a{low}):")
             g = f"g{low}"
@@ -476,7 +476,7 @@ def _matcher(runs: tuple) -> Callable:
             emit(depth + 1, f"parts = (h, {''.join(f'v{j}, ' for j in range(m))}s[a{m}:])")
             emit(depth + 1, 'q = "".join(pick(parts) if repeats is None else map(mul, pick(parts), repeats))')
             emit(depth + 1, "if q not in found:")
-            emit(depth + 2, f"found[q] = (i, a{m}, ({lengths}))")
+            emit(depth + 2, f"found[q] = (i, {''.join(f'l{j}, ' for j in range(m))})")
         emit(1, "return over")
     namespace: dict = {"mul": mul}
     exec(compile("\n".join(lines) + "\n", "<monvar kernel>", "exec"), namespace)
@@ -486,21 +486,8 @@ def _matcher(runs: tuple) -> Callable:
 @lru_cache(maxsize=1024)
 def _kernel(runs: tuple, dst: tuple) -> Callable:
     """The kernel of a pattern given as runs by _pattern, rewritten to dst,
-    the (slot, repeat) runs of the replacing side: its side's matcher with
-    the replacing side bound as data, so building it compiles nothing once
-    the side's matcher exists.
-
-    It is kernel(s, limit, found, over) -> over, for a limit of at least
-    len(s).  For every start i in ascending order and every match of
-    s[i:end] it first computes the successor's length, n plus each slot's
-    growth times its image length.  A successor within limit is built and,
-    if new to found, recorded as found[q] = (i, end, lengths), with each
-    slot's image length rather than its text, so that one record serves
-    every renaming of s's letters; Rewriter._step slices the images back out
-    of s.  A longer one is never built and only sets the returned flag.  The
-    matches within any limit come in the same order, so q's record is the
-    same under every limit of at least len(q).
-    """
+    the (slot, repeat) runs of the replacing side; building it compiles
+    nothing once the side's matcher exists."""
     growth, breaks, starts = _replacing(runs, dst)
     # (s[:i], v0 .. v(m-1), s[end:]) picked in dst's order, h and the tail
     # too, so that pick always returns a tuple
@@ -539,31 +526,18 @@ def _compile(sigma: Presentation) -> tuple[_Rule, ...]:
 
 
 class _Entry(NamedTuple):
-    """A memo entry: a word code's successor codes, never the code itself.
-    A rewriter's entry is a tuple of them in shortlex order; a rule shape's
-    is a dict mapping them, in the order its kernel found them, to their
-    links (prefix end, suffix start, image lengths by slot).  cap is None
-    when every successor is there, and then the entry serves every request;
-    otherwise the word has a successor longer than cap, and only those no
-    longer than cap are held.  A complete entry may hold successors longer
-    than a request's cap.  Every code and link in it is the object _SHARED
-    held for that value when the entry was filed, so entries filed between
-    two emptyings of _SHARED hold equal values as one object."""
+    """A memo entry: a rewriter's successor codes as a tuple, or a rule
+    shape's as a dict to their links in the order its kernel found them, and
+    the cap, None when the entry is complete.  A complete entry may hold
+    successors longer than a request's cap."""
 
     successors: tuple[str, ...] | dict[str, tuple]
     cap: int | None
 
 
-# Every memo entry is an _Entry in _MEMO under (owner, word code): a
-# rewriter's codes under the repr of its rule shapes in order (a str) and the
-# word's own code, a rule shape's links under the shape (a tuple) and the
-# code renamed by first occurrence.  Every rewriter with the same shapes in
-# the same order reads the same entries.  They count one per word and one per
-# successor held, at most MAX_MEMO_ENTRIES in all; past that the oldest entry
-# (the dict's first) leaves first, and a rebuilt entry counts as new.  Each
-# successor code and link an entry holds is _SHARED's object for its value,
-# the first one filed, so a value that recurs is stored once; _SHARED is
-# emptied before an entry is shared once it holds MAX_MEMO_ENTRIES objects.
+# The memo, its entry count and the hash-consing table.  A rewriter's owner is
+# a str and a shape's a tuple, so the two never share a key; the oldest entry
+# is the dict's first.
 MAX_MEMO_ENTRIES = 1 << 20
 _MEMO: dict[tuple, _Entry] = {}
 _memo_entries = 0
@@ -601,33 +575,18 @@ def clear_successor_cache() -> None:
 
 class Rewriter:
     """The rewriting engine of one presentation: its compiled rules and its
-    memo counters.
-
-    Get it with Rewriter.of(sigma): each Presentation object builds its own
-    once and keeps it, so its counters count that object's lookups.  Each
-    rule carries the kernel of its shape, shared by every rule of that shape
-    in any presentation: its rewritten side's matcher, compiled once per
-    side, with the replacing side bound as data.  A kernel computes each
-    match's successor length first and builds only the successors within
-    the cap.
-
-    Its memo entries, keyed by its rule shapes in order and a word code,
-    list the union of the codes its rules' shapes hold for the word's
-    first-occurrence renaming, renamed back to the word's letters, in
-    shortlex order.  They depend on nothing else, so every rewriter with the
-    same shapes in the same order reads them: an equal presentation's, or
-    that of a renaming that keeps each identity's orientation.  They name
-    no rule: _step reads a successor's RewriteStep from the shape entries,
-    built again if they were evicted.
-    """
+    memo counters.  Get it with Rewriter.of(sigma): each Presentation object
+    builds its own once and keeps it, so its counters count that object's
+    lookups.  Its memo entries serve an equal presentation's rewriter too, or
+    that of a renaming that keeps each identity's orientation."""
 
     def __init__(self, sigma: Presentation):
         sigma.require_content_balanced()
         self._rules = _compile(sigma)
         self._owner = repr(tuple(rule.shape for rule in self._rules))
-        self._calls = 0
-        self._misses = 0
-        self._kernel_runs = 0
+        self.calls = 0  # successor lookups
+        self.misses = 0  # lookups that ran the rules
+        self.kernel_runs = 0  # rule kernels run, past the shape entries the memo held
 
     @staticmethod
     def of(sigma: Presentation) -> "Rewriter":
@@ -636,46 +595,28 @@ class Rewriter:
         return sigma._rewriter
 
     @property
-    def calls(self) -> int:
-        """Successor lookups made."""
-        return self._calls
-
-    @property
     def hits(self) -> int:
         """Lookups answered from the memo."""
-        return self._calls - self._misses
-
-    @property
-    def misses(self) -> int:
-        """Lookups that computed successors."""
-        return self._misses
-
-    @property
-    def kernel_runs(self) -> int:
-        """Rule kernels run for misses, not counting matches the memo held."""
-        return self._kernel_runs
+        return self.calls - self.misses
 
     def _successors(self, s: str, cap: float = math.inf) -> _Entry:
         """The memo entry of the word code s for a request for its successors
         no longer than cap, which is at least len(s); the default asks for
         all of them.  An entry that left out successors the request wants is
         expanded again, which counts as a miss."""
-        self._calls += 1
+        self.calls += 1
         key = (self._owner, s)
         entry = _MEMO.get(key)
         if entry is None or entry.cap is not None and cap > entry.cap:
-            self._misses += 1
+            self.misses += 1
             entry = self._expand(s, cap)
             _memoise(key, entry)
         return entry
 
     def _expand(self, s: str, cap: float) -> _Entry:
         """The memo entry of s for cap, which is at least len(s)."""
-        # Rewriting commutes with renaming letters, and a link holds image
-        # lengths, not images, so the rules match c, s with its k-th distinct
-        # letter renamed chr(k), and their successors are renamed back: every
-        # word that renames to c shares c's shape matches.  The links stay in
-        # the shape entries, where _step reads them.
+        # the rules match c, s renamed by first occurrence, and their
+        # successors are renamed back
         letters = "".join(dict.fromkeys(s))
         c = s.translate({ord(a): k for k, a in enumerate(letters)})
         found: set[str] = set()
@@ -697,9 +638,9 @@ class Rewriter:
         key = (rule.shape, s)
         match = _MEMO.get(key)
         if match is None or match.cap is not None and cap > match.cap:
-            self._kernel_runs += 1
+            self.kernel_runs += 1
             found: dict[str, tuple] = {s: ()}  # so the kernel skips s
-            over = rule.kernel(s, cap, found, False)
+            over = rule.kernel(s, cap, found)
             del found[s]
             share = _shared().setdefault
             match = _Entry({share(q, q): share(link, link) for q, link in found.items()}, cap if over else None)
@@ -710,10 +651,8 @@ class Rewriter:
         """The RewriteStep by which the word code p over alphabet rewrites to
         its successor q: the first step found, that is the earliest rule
         (identities in order, forward before backward) whose shape entry for
-        p's first-occurrence renaming holds q, at its kernel's first match.
-        Every match giving q is len(q) long, and a kernel finds the matches
-        within any limit in the same order, so the link is the same whatever
-        cap built the entry, or if it is built again."""
+        p's first-occurrence renaming holds q, at its kernel's first match,
+        whatever cap built that entry."""
         renaming = {ord(a): k for k, a in enumerate(dict.fromkeys(p))}
         c, d = p.translate(renaming), q.translate(renaming)
         limit = max(len(p), len(q))
@@ -721,14 +660,14 @@ class Rewriter:
             link = self._match(rule, c, limit).successors.get(d)
             if link is not None:
                 break
-        i, end, lengths = link
+        i, *lengths = link
         images, at = [], i
         for slot, repeat, first, _ in rule.shape[0]:  # the rewritten side's runs
             if first:
                 images.append(_word(alphabet, p[at : at + lengths[slot]]))
             at += repeat * lengths[slot]
         subst = Substitution(dict(zip(rule.variables, images)))
-        prefix, suffix = _word(alphabet, p[:i]), _word(alphabet, p[end:])
+        prefix, suffix = _word(alphabet, p[:i]), _word(alphabet, p[at:])
         return RewriteStep(prefix, suffix, rule.identity_index, rule.forward, subst)
 
 

@@ -369,8 +369,7 @@ def _parse_expr(s: str, depth: int) -> tuple[VarietyHandle, str]:
         path = s[1:stop].strip()
         if not path:
             raise ValueError("empty file reference in variety expression")
-        with open(path, "r", encoding="utf-8") as fh:
-            return Presented(Presentation.parse(fh.read())), s[stop:]
+        return Presented(Presentation.read(path)), s[stop:]
     name = s[:stop].strip()
     if name in _BUILTIN_NAMES:
         return _BUILTIN_NAMES[name], s[stop:]

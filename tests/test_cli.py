@@ -180,6 +180,7 @@ class TestLatticeCommand:
         assert code == 0
         assert out.splitlines()[0].startswith("element")
         assert len(out.splitlines()) == 6
+        assert not any(line.endswith(" ") for line in out.splitlines())
         header, *rows = out.splitlines()
         tokens = [(m.start(), m.group()) for m in re.finditer(r"\S+", header)]
         assert tokens[0] == (0, "element")

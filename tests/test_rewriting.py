@@ -609,7 +609,7 @@ class TestSuccessorOracle:
         # after seeded searches and class checks under the reference bases
         # and seeded systems, every rewriter entry is a shortlex tuple of the
         # codes of its word's other successors, and every rule shape's entry
-        # maps those codes to (prefix end, suffix start, image lengths) links
+        # maps those codes to (prefix end, image lengths by slot) links
         rng = random.Random(8821)
         kinds = (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB)
         systems = [reference_presentation(kind) for kind in kinds] + [self.random_system(rng) for _ in range(12)]
@@ -632,10 +632,20 @@ class TestSuccessorOracle:
                 rewriters += 1
             else:
                 assert isinstance(entry.successors, dict), (owner, s)
-                slots = sum(first for _, _, first, _ in owner[0])  # the rewritten side's variables
+                runs, dst = owner  # the rewritten side's runs, the replacing side's slot runs
+                slots = sum(first for _, _, first, _ in runs)
                 for q, link in entry.successors.items():
-                    assert isinstance(q, str) and [type(part) for part in link] == [int, int, tuple], (owner, s, q)
-                    assert len(link[2]) == slots and all(isinstance(length, int) for length in link[2]), (owner, s, q)
+                    assert isinstance(q, str) and isinstance(link, tuple), (owner, s, q)
+                    assert len(link) == 1 + slots and all(type(part) is int for part in link), (owner, s, q)
+                    # the link rebuilds q: the replacing side's images, sliced
+                    # out of s, between s[:start] and where the runs end
+                    start, *lengths = link
+                    images, at = [], start
+                    for slot, repeat, first, _ in runs:
+                        if first:
+                            images.append(s[at : at + lengths[slot]])
+                        at += repeat * lengths[slot]
+                    assert s[:start] + "".join(images[j] * r for j, r in dst) + s[at:] == q, (owner, s, q)
                 shapes += 1
             if entry.cap is not None:
                 assert max(map(len, entry.successors), default=0) <= entry.cap, (owner, s)
