@@ -18,7 +18,9 @@ rejected with ContentUnbalancedError instead of being silently truncated.
 Inside the engine a word is a code: a str with one character per letter,
 the i-th variable of its content in name order being chr(i), so shortlex
 order is string order.  Word stays the public type, and a RewriteStep is
-built only for a certificate or for one_step_successors.
+built only for a certificate or for one_step_successors.  An Exploration
+keeps each edge's step once built, so every certificate through that edge
+shares one RewriteStep.
 
 All searches go through one Rewriter per presentation, which holds both
 orientations of every identity as rules.  Each rule runs as a kernel: its
@@ -728,7 +730,9 @@ class Exploration:
     word over ``alphabet`` to its parent's code (None for the start), and
     ``rewriter`` reads the step between them; ``w in`` an Exploration tells
     whether the search reached w, and ``words`` and ``certificate_to`` give
-    Words and steps.
+    Words and steps.  Each step is built once, the first time a certificate
+    passes through it, and kept in a table keyed by the child's code, so
+    certificates that share a path share its RewriteStep objects.
     """
 
     start: Word
@@ -737,6 +741,7 @@ class Exploration:
     saturated: bool
     alphabet: tuple[Variable, ...]
     rewriter: Rewriter = field(compare=False)
+    _steps: dict[str, RewriteStep] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def words(self) -> frozenset[Word]:
@@ -754,7 +759,10 @@ class Exploration:
         steps: list[RewriteStep] = []
         parent = self.parents[cursor]
         while parent is not None:
-            steps.append(self.rewriter._step(self.alphabet, parent, cursor))
+            step = self._steps.get(cursor)
+            if step is None:
+                step = self._steps[cursor] = self.rewriter._step(self.alphabet, parent, cursor)
+            steps.append(step)
             cursor, parent = parent, self.parents[parent]
         steps.reverse()
         return DerivationCertificate(self.start, tuple(steps))
@@ -873,16 +881,18 @@ def verify_certificate(
     if expect_start is not None and cert.start != expect_start:
         return CertificateCheck(False, None, f"certificate starts at {cert.start}, expected {expect_start}")
     current = cert.start
-    seen = {current}
+    seen = {current.letters}
     for index, step in enumerate(cert.steps):
         if not 0 <= step.identity_index < len(sigma.identities):
             return CertificateCheck(False, index, f"identity index {step.identity_index} out of range")
-        if step.source(sigma) != current:
+        src, dst = step.sides(sigma)
+        prefix, suffix = step.prefix.letters, step.suffix.letters
+        if prefix + step.subst.apply(src).letters + suffix != current.letters:
             return CertificateCheck(False, index, f"step does not replay from {current}")
-        current = step.target(sigma)
-        if current in seen:
+        current = Word(prefix + step.subst.apply(dst).letters + suffix)
+        if current.letters in seen:
             return CertificateCheck(False, index, f"repeated word {current} in the chain")
-        seen.add(current)
+        seen.add(current.letters)
     if expect_end is not None and current != expect_end:
         return CertificateCheck(False, None, f"certificate ends at {current}, expected {expect_end}")
     return CertificateCheck(True)
@@ -949,7 +959,10 @@ def _parse_subst(text: str) -> Substitution:
         name, _, image = chunk.partition("=")
         if not _:
             raise ValueError(f"bad substitution binding {chunk!r}")
-        mapping[Variable(name)] = parse_word(image)
+        variable = Variable(name)
+        if variable in mapping:
+            raise ValueError(f"repeated substitution binding of {name}")
+        mapping[variable] = parse_word(image)
     return Substitution(mapping)
 
 

@@ -35,6 +35,13 @@ _FACTOR_RE = re.compile(r"([a-z][0-9]*)(?:\^([0-9]+))?")
 # Every word the searches here handle is orders of magnitude shorter.
 MAX_WORD_LENGTH = 100_000
 
+# parse_word's table from text to Word, bounded as its docstring says, so
+# that a text parsed again (the words of a certificate read back, say) is
+# parsed once and shares one Word with its cached hash, key, code and text.
+_PARSED_MAX_TEXT = 64
+_PARSED_MAX_ENTRIES = 4096
+_PARSED: dict[str, "Word"] = {}
+
 
 class WordSyntaxError(ValueError):
     """Malformed word text: bad token, zero exponent, empty input, or a word
@@ -85,14 +92,16 @@ class Word:
     order of every search in this package.
     """
 
-    # _code caches the rewriting engine's internal string code of the word.
-    __slots__ = ("letters", "_hash", "_key", "_code")
+    # _code caches the rewriting engine's internal string code of the word,
+    # and _text its canonical text, which only format_word fills.
+    __slots__ = ("letters", "_hash", "_key", "_code", "_text")
 
     def __init__(self, letters: Iterable[Variable] = ()):
         self.letters = tuple(letters)
         self._hash = None
         self._key = None
         self._code = None
+        self._text = None
 
     @property
     def key(self) -> tuple:
@@ -150,12 +159,19 @@ EMPTY = Word()
 
 def parse_word(text: str) -> Word:
     """Parse word text: variable tokens, optional ^k with k >= 1, "1" for the
-    empty word.  At most MAX_WORD_LENGTH letters."""
+    empty word.  At most MAX_WORD_LENGTH letters.
+
+    A text of at most 64 characters spelling at most 64 letters is kept in a
+    table of at most 4,096 texts, emptied when full, so parsing it again
+    returns the same Word; a malformed text is never kept."""
+    word = _PARSED.get(text)
+    if word is not None:
+        return word
     s = text.strip()
     if not s:
         raise WordSyntaxError("empty word text (write the empty word as '1')")
     if s == "1":
-        return EMPTY
+        return _keep(text, EMPTY)
     letters: list[Variable] = []
     pos = 0
     while pos < len(s):
@@ -173,11 +189,23 @@ def parse_word(text: str) -> Word:
             raise WordSyntaxError(f"word text {text[:40]!r} spells more than {MAX_WORD_LENGTH} letters")
         letters.extend([Variable(m.group(1))] * exponent)
         pos = m.end()
-    return Word(letters)
+    return _keep(text, Word(letters))
+
+
+def _keep(text: str, word: Word) -> Word:
+    """word, kept in parse_word's table under text when both are short."""
+    if len(text) <= _PARSED_MAX_TEXT and len(word) <= _PARSED_MAX_TEXT:
+        if len(_PARSED) >= _PARSED_MAX_ENTRIES:
+            _PARSED.clear()
+        _PARSED[text] = word
+    return word
 
 
 def format_word(w: Word) -> str:
-    """Canonical text of a word, with maximal runs compressed to ^k."""
+    """Canonical text of a word, with maximal runs compressed to ^k; cached
+    on the word."""
+    if w._text is not None:
+        return w._text
     if not w:
         return "1"
     parts: list[str] = []
@@ -190,7 +218,8 @@ def format_word(w: Word) -> str:
             parts.append(run_letter.name if run_length == 1 else f"{run_letter.name}^{run_length}")
             run_letter, run_length = letter, 1
     parts.append(run_letter.name if run_length == 1 else f"{run_letter.name}^{run_length}")
-    return "".join(parts)
+    w._text = "".join(parts)
+    return w._text
 
 
 def content(w: Word) -> frozenset[Variable]:

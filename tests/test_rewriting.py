@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -417,12 +418,13 @@ class TestSuccessorOracle:
                 assert verify_certificate(sigma, cert, u, v).ok, (sigma, u, v)
                 assert parse_certificate(format_certificate(cert)) == cert
                 count += len(cert)
-                # taken again once the memo is emptied, the explored
+                # taken again once the memo is emptied, from a copy with the
+                # same parents and an empty step table, the explored
                 # certificate rebuilds the shape entries on its path
                 first = explored.certificate_to(v)
                 runs = Rewriter.of(sigma).kernel_runs
                 clear_successor_cache()
-                again = explored.certificate_to(v)
+                again = dataclasses.replace(explored).certificate_to(v)
                 assert again == first == cert and verify_certificate(sigma, again, u, v).ok, (sigma, u, v)
                 assert (Rewriter.of(sigma).kernel_runs > runs) == (len(cert) > 0), (sigma, u, v)
         assert count >= 40
@@ -1044,6 +1046,32 @@ class TestDerive:
             assert verify_certificate(SIGMA_E, cert, parse_word("xyxy"), target).ok
 
 
+class TestStepTable:
+    def test_certificates_of_one_exploration_share_their_common_steps(self):
+        exploration = explore(POWER, parse_word("x"), SearchBounds(9, 4))
+        # x -> x^3, then x^3 -> x^5 and x^3 -> x^7
+        five = exploration.certificate_to(parse_word("x^5"))
+        seven = exploration.certificate_to(parse_word("x^7"))
+        assert len(five) == len(seven) == 2
+        assert five.steps[0] is seven.steps[0] and five.steps[1] != seven.steps[1]
+        assert all(a is b for a, b in zip(five.steps, exploration.certificate_to(parse_word("x^5")).steps))
+
+    def test_certificates_after_the_memo_is_emptied_are_unchanged(self):
+        start = parse_word("xyxy")
+        exploration = explore(SIGMA_E, start, SearchBounds(8, 4))
+        targets = sorted(exploration.words, key=lambda w: w.key)[:40]
+        # each from its own empty step table, with the memo filled
+        before = {v: dataclasses.replace(exploration).certificate_to(v) for v in targets}
+        for v in targets[::2]:
+            exploration.certificate_to(v)
+        clear_successor_cache()
+        # half the paths' steps come from the table, the rest are rebuilt
+        for v in targets:
+            cert = exploration.certificate_to(v)
+            assert cert == before[v] and format_certificate(cert) == format_certificate(before[v])
+            assert verify_certificate(SIGMA_E, cert, start, v).ok
+
+
 class TestVerifyCertificate:
     def test_check_is_true_exactly_when_ok(self):
         cert = derive(POWER, parse_word("x"), parse_word("x^3"), SearchBounds(5, 2))
@@ -1062,6 +1090,31 @@ class TestVerifyCertificate:
         )
         check = verify_certificate(POWER, tampered)
         assert not check.ok and check.step_index == 0
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda step: dataclasses.replace(step, prefix=step.prefix * parse_word("x")),
+            lambda step: dataclasses.replace(step, suffix=parse_word("y") * step.suffix),
+            lambda step: dataclasses.replace(step, forward=not step.forward),
+        ],
+        ids=["prefix", "suffix", "direction"],
+    )
+    def test_rejects_a_later_step_that_does_not_replay(self, tamper):
+        cert = derive(POWER, parse_word("x^9yx^3"), parse_word("x^7yx^5"), SearchBounds(13, 4))
+        assert len(cert) == 2 and verify_certificate(POWER, cert).ok
+        tampered = DerivationCertificate(cert.start, (cert.steps[0], tamper(cert.steps[1])))
+        check = verify_certificate(POWER, tampered)
+        assert not check.ok and check.step_index == 1
+        assert check.reason == f"step does not replay from {format_word(cert.words(POWER)[1])}"
+
+    def test_rejects_a_word_repeated_at_a_later_step(self):
+        # x -> x^3 -> x^5 -> x^3
+        forth = derive(POWER, parse_word("x"), parse_word("x^5"), SearchBounds(7, 3))
+        assert len(forth) == 2
+        loop = DerivationCertificate(parse_word("x"), forth.steps + forth.reversed(POWER).steps[:1])
+        check = verify_certificate(POWER, loop)
+        assert not check.ok and check.step_index == 2 and check.reason == "repeated word x^3 in the chain"
 
     def test_rejects_wrong_claimed_start(self):
         cert = derive(POWER, parse_word("x"), parse_word("x^3"), SearchBounds(5, 2))
@@ -1266,6 +1319,11 @@ class TestCertificateSerialization:
     def test_rejects_binding_without_equals(self):
         text = "start: x\nstep: prefix=1 identity=0 direction=forward subst=x suffix=1\n"
         with pytest.raises(ValueError, match="bad substitution binding"):
+            parse_certificate(text)
+
+    def test_rejects_a_variable_bound_twice(self):
+        text = "start: x\nstep: prefix=1 identity=0 direction=forward subst=x=y,x=x,y=x suffix=1\n"
+        with pytest.raises(ValueError, match="repeated substitution binding of x"):
             parse_certificate(text)
 
 

@@ -16,6 +16,7 @@ from monvar import (
     occ,
     parse_word,
 )
+from monvar import words
 from monvar.words import MAX_WORD_LENGTH
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -51,8 +52,10 @@ class TestParseFormat:
 
     @pytest.mark.parametrize("bad", ["", "  ", "x^0", "X", "2x", "x^", "x y"])
     def test_rejects_malformed(self, bad):
-        with pytest.raises(WordSyntaxError):
-            parse_word(bad)
+        # on every call: no error is kept in the parse table
+        for _ in range(2):
+            with pytest.raises(WordSyntaxError):
+                parse_word(bad)
 
     @pytest.mark.parametrize(
         "huge",
@@ -60,11 +63,28 @@ class TestParseFormat:
         ids=["big-exponent", "5000-digit-exponent", "long-plain-text"],
     )
     def test_rejects_words_over_the_length_cap(self, huge):
-        with pytest.raises(WordSyntaxError, match="more than"):
-            parse_word(huge)
+        for _ in range(2):
+            with pytest.raises(WordSyntaxError, match="more than"):
+                parse_word(huge)
 
     def test_accepts_a_word_at_the_length_cap(self):
         assert len(parse_word(f"x^{MAX_WORD_LENGTH}")) == MAX_WORD_LENGTH
+
+    def test_cached_text_is_the_canonical_text(self):
+        for text in ("xx", "x^02", "x^2"):
+            assert format_word(parse_word(text)) == "x^2"
+            assert format_word(parse_word(text)) == "x^2"  # served from the table and the cache
+
+    def test_repeated_text_shares_one_word(self):
+        assert parse_word("x^3yx") is parse_word("x^3yx") == parse_word(" xxxyx ")
+
+    def test_parse_table_is_bounded(self):
+        for i in range(5000):
+            assert parse_word(f"x{i}y") == Word([Variable(f"x{i}"), Y])
+            assert len(words._PARSED) <= 4096
+        for text in (" " * 100 + "x", "x^" + "0" * 100 + "1", "x^100000"):
+            assert len(parse_word(text)) in (1, 100000)
+            assert text not in words._PARSED
 
     def test_round_trip_random(self):
         rng = random.Random(11)
