@@ -46,6 +46,7 @@ from .rewriting import (
     Presentation,
     SearchBounds,
     class_closure_verify,
+    default_bounds,
     derive,
     explore,
     format_certificate,
@@ -84,8 +85,6 @@ __all__ = [
     "run_scenario",
     "E_PRESENTATION",
 ]
-
-SCENARIO_NAMES = ("S1", "S2", "S3", "S4")
 
 E_PRESENTATION = Presentation.of("x^2 = x^3", "x^2y = xyx", "x^2y^2 = y^2x^2")
 
@@ -243,36 +242,33 @@ def find_shaped_identity(sigma: Presentation, k: int) -> ShapedIdentity | None:
     sides use each variable exactly k times, neither side contains x^k or
     y^k as a factor, and ini(u) != ini(v).
 
-    Candidates u of length 2k with ini(u) = xy are enumerated in shortlex
-    order; the congruence class of each candidate is explored under
-    default_bounds(sigma, u) and scanned for a partner of the required shape.
-    A membership found in a capped exploration is still a derivable
-    identity, so partial classes count.
+    The shaped words of length 2k are listed once in shortlex order.  Each
+    candidate u, one that starts with x (so ini(u) = xy), is explored under
+    default_bounds(sigma, u) with the search stopping at p, the least shaped
+    word that starts with y and so the least possible partner.  A search
+    that reaches p answers with p.  One that misses p has run to its end,
+    and the answer is the first y-first shaped word, in list order, that it
+    reached.  A membership found in a capped exploration is still a
+    derivable identity, so partial classes count.
     """
     sigma.require_content_balanced()
     if k < 2:
         raise ValueError("k must be >= 2")
     x, y = Variable("x"), Variable("y")
-    candidates = []
-    for positions in combinations(range(2 * k), k):
-        letters = [y] * (2 * k)
-        for pos in positions:
-            letters[pos] = x
-        w = Word(letters)
-        if _shape_ok(w, k) and w.letters[0] == x:
-            candidates.append(w)
-    candidates.sort(key=lambda w: w.key)
+    words = (Word([x if i in xs else y for i in range(2 * k)]) for xs in combinations(range(2 * k), k))
+    shaped = sorted((w for w in words if _shape_ok(w, k)), key=lambda w: w.key)
+    candidates = [w for w in shaped if w.letters[0] == x]
+    partners = [w for w in shaped if w.letters[0] == y]
+    p = partners[0]
     for u in candidates:
-        result = explore(sigma, u)
-        partners = [
-            v
-            for v in result.words
-            if v != u and _shape_ok(v, k) and ini(v) != ini(u)
-        ]
-        if partners:
-            v = min(partners, key=lambda w: w.key)
-            cert = result.certificate_to(v)
-            return ShapedIdentity(u, v, cert)
+        # every shaped word has content {x, y} and length 2k, so the search
+        # stopping at p never ends at once and keeps u's own length cap: it
+        # is a prefix of the full search, with the same parents, or all of it
+        assert content(p) == content(u) and default_bounds(sigma, u, p) == default_bounds(sigma, u)
+        result = explore(sigma, u, stop_at=p)
+        v = next((v for v in partners if v in result), None)
+        if v is not None:
+            return ShapedIdentity(u, v, result.certificate_to(v))
     return None
 
 
@@ -424,17 +420,17 @@ def _scenario_s3() -> Report:
 
     lines = []
     ok = True
-    for name, handle, text, want in (
-        ("C", C, "x^2 = x^3", Verdict.YES),
-        ("C", C, "x^2y = xyx", Verdict.YES),
-        ("LRB", LRB, "x^2 = x^3", Verdict.YES),
-        ("LRB", LRB, "x^2y = xyx", Verdict.YES),
-        ("LRB", LRB, "x^2y^2 = y^2x^2", Verdict.NO),
+    for handle, text, want in (
+        (C, "x^2 = x^3", Verdict.YES),
+        (C, "x^2y = xyx", Verdict.YES),
+        (LRB, "x^2 = x^3", Verdict.YES),
+        (LRB, "x^2y = xyx", Verdict.YES),
+        (LRB, "x^2y^2 = y^2x^2", Verdict.NO),
     ):
         identity = Identity.parse(text)
         got = satisfies(handle, identity)
         ok = ok and got is want
-        lines.append(f"satisfies({name}, {identity}) = {got}" + ("" if got is want else f" (expected {want})"))
+        lines.append(f"satisfies({handle.kind.value}, {identity}) = {got}" + ("" if got is want else f" (expected {want})"))
     report.add(
         "decider record for the defining identities of E against C and LRB",
         ok,
@@ -491,6 +487,7 @@ _SCENARIOS = {
     "S3": _scenario_s3,
     "S4": _scenario_s4,
 }
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def run_scenario(name: str) -> Report:
