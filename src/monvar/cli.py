@@ -168,11 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="query a finite lattice file")
     p.add_argument("--file", required=True)
-    p.add_argument("--element", default=None)
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--element", default=None)
+    output.add_argument("--table", action="store_true", help="print the full property table (default)")
+    output.add_argument("--csv", action="store_true", help="machine-readable rows element,property,boolean")
+    output.add_argument("--implications", action="store_true")
     p.add_argument("--property", default=None, choices=[e.value for e in ElementProperty])
-    p.add_argument("--table", action="store_true", help="print the full property table (default)")
-    p.add_argument("--csv", action="store_true", help="machine-readable rows element,property,boolean")
-    p.add_argument("--implications", action="store_true")
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("verify", help="run the verification scenarios")

@@ -320,7 +320,7 @@ class NotConnected:
 
 @lru_cache(maxsize=4096)
 def _alphabet(letters: frozenset[Variable]) -> tuple[tuple[Variable, ...], dict[Variable, str]]:
-    ordered = tuple(sorted(letters, key=attrgetter("name")))
+    ordered = tuple(sorted(letters))
     return ordered, {v: chr(i) for i, v in enumerate(ordered)}
 
 
@@ -948,7 +948,7 @@ _STEP_RE = re.compile(
 
 
 def _format_subst(subst: Substitution) -> str:
-    return ",".join(f"{v.name}={format_word(img)}" for v, img in subst.items())
+    return ",".join(f"{v}={format_word(img)}" for v, img in subst.items())
 
 
 def _parse_subst(text: str) -> Substitution:

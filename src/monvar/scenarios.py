@@ -44,7 +44,6 @@ from .rewriting import (
     ExactClass,
     Identity,
     Presentation,
-    SearchBounds,
     class_closure_verify,
     default_bounds,
     derive,
@@ -193,12 +192,13 @@ def _derivation_check(
     sigma: Presentation,
     u: Word,
     v: Word,
-    bounds: SearchBounds | None = None,
     also_in: Builtin | None = None,
 ) -> None:
-    """Certify u = v from sigma and keep the certificate as an artifact;
-    also_in is a built-in variety whose decider must accept u = v too."""
-    cert = derive(sigma, u, v, bounds)
+    """Certify u = v from sigma under the engine's default search caps (twice
+    the longest word in sight, depth 10) and keep the certificate as an
+    artifact; also_in is a built-in variety whose decider must accept u = v
+    too."""
+    cert = derive(sigma, u, v)
     ok = cert is not None and verify_certificate(sigma, cert, expect_start=u, expect_end=v).ok
     evidence = _cert_evidence(sigma, cert) if cert is not None else "no derivation found"
     if also_in is not None:
@@ -355,7 +355,6 @@ def _scenario_s2() -> Report:
         Presentation.of("x = x^3"),
         u1,
         v1,
-        SearchBounds(max_word_length=13, max_depth=4),
     )
     _derivation_check(
         report,
@@ -363,7 +362,6 @@ def _scenario_s2() -> Report:
         sigma_y | sigma_x,
         u1,
         v1,
-        SearchBounds(max_word_length=16, max_depth=6),
     )
 
     clean = not has_kth_power_factor(u1, 12) and not has_kth_power_factor(u2, 12)
@@ -415,7 +413,6 @@ def _scenario_s3() -> Report:
         sigma_y | sigma_x,
         xtu,
         xtv,
-        SearchBounds(max_word_length=8, max_depth=6),
     )
 
     lines = []

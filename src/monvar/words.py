@@ -37,7 +37,7 @@ MAX_WORD_LENGTH = 100_000
 
 # parse_word's table from text to Word, bounded as its docstring says, so
 # that a text parsed again (the words of a certificate read back, say) is
-# parsed once and shares one Word with its cached hash, key, code and text.
+# parsed once and shares one Word with its cached hash, code and text.
 _PARSED_MAX_TEXT = 64
 _PARSED_MAX_ENTRIES = 4096
 _PARSED: dict[str, "Word"] = {}
@@ -48,11 +48,12 @@ class WordSyntaxError(ValueError):
     longer than MAX_WORD_LENGTH."""
 
 
-class Variable:
-    """A single variable; two variables are equal exactly when their tokens
-    are, since each token is interned to one object."""
+class Variable(str):
+    """A single variable: its token, as a str.  Each token is interned to one
+    object, and variables compare, hash and sort as their tokens do, so x10
+    sorts before x2."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
     _interned: dict[str, "Variable"] = {}
 
     def __new__(cls, name: str) -> "Variable":
@@ -61,27 +62,17 @@ class Variable:
             return cached
         if not _TOKEN_RE.fullmatch(name):
             raise WordSyntaxError(f"bad variable token {name!r}")
-        obj = object.__new__(cls)
-        obj.name = name
+        obj = super().__new__(cls, name)
         cls._interned[name] = obj
         return obj
 
-    # Interning makes equality identity and the hash object's own.  __eq__ is
-    # still spelled out: with __lt__ defined, == on two distinct variables
-    # would otherwise go through the slower generic comparison slot.
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    __hash__ = object.__hash__
-
-    def __lt__(self, other: "Variable") -> bool:
-        return self.name < other.name
+    @property
+    def name(self) -> str:
+        """The token as a plain str."""
+        return str(self)
 
     def __repr__(self) -> str:
-        return f"Variable({self.name!r})"
-
-    def __str__(self) -> str:
-        return self.name
+        return f"Variable({str(self)!r})"
 
 
 class Word:
@@ -94,20 +85,18 @@ class Word:
 
     # _code caches the rewriting engine's internal string code of the word,
     # and _text its canonical text, which only format_word fills.
-    __slots__ = ("letters", "_hash", "_key", "_code", "_text")
+    __slots__ = ("letters", "_hash", "_code", "_text")
 
     def __init__(self, letters: Iterable[Variable] = ()):
         self.letters = tuple(letters)
         self._hash = None
-        self._key = None
         self._code = None
         self._text = None
 
     @property
     def key(self) -> tuple:
-        if self._key is None:
-            self._key = (len(self.letters), tuple(v.name for v in self.letters))
-        return self._key
+        """The shortlex key (length, letters); letters compare as tokens."""
+        return (len(self.letters), self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -215,9 +204,9 @@ def format_word(w: Word) -> str:
         if letter == run_letter:
             run_length += 1
         else:
-            parts.append(run_letter.name if run_length == 1 else f"{run_letter.name}^{run_length}")
+            parts.append(run_letter if run_length == 1 else f"{run_letter}^{run_length}")
             run_letter, run_length = letter, 1
-    parts.append(run_letter.name if run_length == 1 else f"{run_letter.name}^{run_length}")
+    parts.append(run_letter if run_length == 1 else f"{run_letter}^{run_length}")
     w._text = "".join(parts)
     return w._text
 
@@ -244,15 +233,9 @@ def ini(w: Word) -> Word:
 
 
 def fin(w: Word) -> Word:
-    """The subsequence of w retaining only the last occurrence of each variable."""
-    seen: set[Variable] = set()
-    out: list[Variable] = []
-    for letter in reversed(w.letters):
-        if letter not in seen:
-            seen.add(letter)
-            out.append(letter)
-    out.reverse()
-    return Word(out)
+    """The subsequence of w retaining only the last occurrence of each
+    variable: ini of the reversal, reversed."""
+    return ini(w[::-1])[::-1]
 
 
 def has_kth_power_factor(w: Word, k: int) -> bool:
@@ -284,7 +267,7 @@ class Substitution:
             if not isinstance(var, Variable) or not isinstance(image, Word):
                 raise TypeError("substitution maps Variable to Word")
         self._map = as_dict
-        self._items = tuple(sorted(as_dict.items(), key=lambda item: item[0].name))
+        self._items = tuple(sorted(as_dict.items()))
 
     def apply(self, w: Word) -> Word:
         out: list[Variable] = []
@@ -310,5 +293,5 @@ class Substitution:
         return hash(self._items)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v.name}->{format_word(w)}" for v, w in self._items)
+        inner = ", ".join(f"{v}->{format_word(w)}" for v, w in self._items)
         return f"Substitution({inner})"

@@ -39,6 +39,49 @@ def pentagon_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def in_files_dir(tmp_path, monkeypatch):
+    """A working directory holding the files that CLI_OUTPUTS names."""
+    (tmp_path / "power.ids").write_text("x = x^3\n")
+    (tmp_path / "lrb.ids").write_text("xy = xyx\n")
+    (tmp_path / "rrb.ids").write_text("xy = yxy\n")
+    covers = [["0", "a"], ["a", "c"], ["c", "1"], ["0", "b"], ["b", "1"]]
+    (tmp_path / "n5.json").write_text(json.dumps({"elements": ["0", "a", "b", "c", "1"], "covers": covers}))
+    monkeypatch.chdir(tmp_path)
+
+
+# argv, exit code and the whole of stdout
+CLI_OUTPUTS = [
+    # explore ends at once at its own start, and at a word of other content
+    (
+        ["derive", "--system", "power.ids", "--lhs", "x^2y", "--rhs", "x^2y"],
+        0,
+        "Proved (0 steps)\nsystem:\n  [0] x = x^3\ncertificate:\nstart: x^2y\nreplay:\n  x^2y\n",
+    ),
+    (["derive", "--system", "power.ids", "--lhs", "x", "--rhs", "xy"], 1, "NotFoundWithinBounds\n"),
+    (
+        ["class", "--system", "power.ids", "--word", "x", "--max-len", "9"],
+        0,
+        "CapExceeded (partial): 5 words\n  x\n  x^3\n  x^5\n  x^7\n  x^9\n",
+    ),
+    # LRB satisfies x = x^3 and fails xy = yx
+    (["satisfies", "--variety", "@power.ids", "--lhs", "xy", "--rhs", "yx"], 0, "No\n"),
+    # SL lies in both parts and fails xy = x
+    (["satisfies", "--variety", "meet(SL, LRB)", "--lhs", "xy", "--rhs", "x"], 0, "No\n"),
+    # LRB lies in both parts and fails xy = yx
+    (["satisfies", "--variety", "meet(LRB, @power.ids)", "--lhs", "xy", "--rhs", "yx"], 0, "No\n"),
+    (["isoterm", "--variety", "join(LRB, @power.ids)", "--word", "yxyxx"], 0, "Unknown (composition)\n"),
+    (["isoterm", "--variety", "join(@lrb.ids, @rrb.ids)", "--word", "x^2y^2x"], 0, "Unknown (composition)\n"),
+    (["lattice", "--file", "n5.json", "--element", "a", "--property", "neutral"], 0, "false\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", CLI_OUTPUTS, ids=[" ".join(argv) for argv, _, _ in CLI_OUTPUTS])
+def test_cli_output(in_files_dir, capsys, argv, code, stdout):
+    assert main(argv) == code
+    assert capsys.readouterr().out == stdout
+
+
 class TestDeriveCommand:
     def test_proved(self, power_system, capsys):
         code = main(
@@ -197,6 +240,28 @@ class TestLatticeCommand:
         assert code == 0
         assert "b,modular,false" in out.splitlines()
         assert "0,neutral,true" in out.splitlines()
+
+    def test_csv_has_a_row_per_element_and_property(self, pentagon_file, capsys):
+        assert main(["lattice", "--file", pentagon_file, "--csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5 * len(ElementProperty)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--element", "b", "--property", "modular", "--table"],
+            ["--element", "b", "--property", "modular", "--csv"],
+            ["--element", "b", "--property", "modular", "--implications"],
+            ["--table", "--csv"],
+            ["--table", "--implications"],
+            ["--csv", "--implications"],
+        ],
+        ids=" ".join,
+    )
+    def test_output_flags_exclude_each_other(self, pentagon_file, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice", "--file", pentagon_file, *flags])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_csv_quotes_labels_with_separators(self, tmp_path, capsys):
         path = tmp_path / "quoted.json"

@@ -16,6 +16,7 @@ from monvar import (
     ShapedIdentity,
     Variable,
     Word,
+    derive,
     explore,
     find_shaped_identity,
     format_word,
@@ -223,6 +224,18 @@ class TestScenarioS3:
         report = run_scenario("S3")
         assumed = next(c for c in report.checks if c.verdict == "ASSUMED")
         assert "xtxyxy" in assumed.description and "tx^2yxy" in assumed.description
+
+    @pytest.mark.parametrize("k", sorted(E_SHAPED))
+    def test_union_derivation_at_default_caps(self, k):
+        # |xtu| = 2k + 2, so a length cap of 8 misses this from k = 4 on
+        shaped = find_shaped_identity(E_PRESENTATION, k)
+        xt, tx = parse_word("xt"), parse_word("tx")
+        xtu, txu, xtv, txv = xt * shaped.lhs, tx * shaped.lhs, xt * shaped.rhs, tx * shaped.rhs
+        sigma_x = Presentation((Identity(xtu, txu), Identity(xtv, txv)))
+        sigma_y = Presentation((Identity(txu, txv),))
+        cert = derive(sigma_y | sigma_x, xtu, xtv)
+        assert cert is not None and len(cert) == 3
+        assert verify_certificate(sigma_y | sigma_x, cert, xtu, xtv).ok
 
 
 class TestScenarioS4:

@@ -26,6 +26,46 @@ def rand_word(rng, max_len, alphabet=(X, Y, Z)):
     return Word(rng.choices(alphabet, k=rng.randint(0, max_len)))
 
 
+# multi-digit indices included, where token order and index order differ
+SIX = tuple(map(Variable, ["x", "y", "x1", "x2", "x10", "t"]))
+
+
+def reference_key(w):
+    """Word.key as it was when each variable carried its token in .name."""
+    return (len(w.letters), tuple(v.name for v in w.letters))
+
+
+def reference_fin(w):
+    """The last-occurrence scan, written out on its own."""
+    seen, out = set(), []
+    for letter in reversed(w.letters):
+        if letter not in seen:
+            seen.add(letter)
+            out.append(letter)
+    out.reverse()
+    return Word(out)
+
+
+class TestVariable:
+    def test_a_variable_is_its_token(self):
+        assert Variable("x") == "x"
+        assert hash(Variable("x10")) == hash("x10")
+
+    def test_variables_sort_as_tokens(self):
+        assert sorted(map(Variable, ["y", "x2", "x10", "x"])) == ["x", "x10", "x2", "y"]
+
+    def test_interned(self):
+        assert Variable("x") is Variable("x")
+
+    def test_repr_and_name(self):
+        assert repr(Variable("x")) == "Variable('x')"
+        assert Variable("x").name == "x" and type(Variable("x").name) is str
+
+    def test_substitution_rejects_a_plain_str_key(self):
+        with pytest.raises(TypeError, match="maps Variable to Word"):
+            Substitution({"x": parse_word("y")})
+
+
 class TestParseFormat:
     def test_power_word(self):
         w = parse_word("x^9yx^3")
@@ -136,6 +176,12 @@ class TestStatistics:
             w = rand_word(rng, 10)
             assert fin(w) == Word(ini(Word(w.letters[::-1])).letters[::-1])
 
+    def test_fin_matches_the_last_occurrence_scan(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            w = rand_word(rng, 12, SIX)
+            assert fin(w) == reference_fin(w)
+
 
 class TestSubstitution:
     def test_swap(self):
@@ -179,6 +225,11 @@ class TestWordAlgebra:
     def test_shortlex_order(self):
         assert parse_word("z") < parse_word("xy")
         assert parse_word("xy") < parse_word("yx")
+
+    def test_key_sorts_as_the_token_key(self):
+        rng = random.Random(13)
+        seeded = [rand_word(rng, 8, SIX) for _ in range(300)]
+        assert sorted(seeded, key=lambda w: w.key) == sorted(seeded, key=reference_key)
 
     def test_power_factor_scan(self):
         assert has_kth_power_factor(parse_word("x^12"), 12)
