@@ -3,13 +3,15 @@
 Exit codes: derive exits 0 on Proved, 1 on NotFoundWithinBounds, 2 on error;
 verify exits 0 when every requested scenario reports PASS or
 PASS_WITH_ASSUMPTIONS, 1 otherwise, 2 on error; all other commands exit 0 on
-success, 2 on error.
+success, 2 on error.  A command whose stdout reader has gone (`monvar verify |
+head -n 1`) stops quietly with 141, the status a shell reports for SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from .lattices import ElementProperty, check_implications, elements_with, has_property, load_lattice_file
@@ -188,7 +190,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # what the buffer still holds goes to the null device at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

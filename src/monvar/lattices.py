@@ -327,7 +327,7 @@ def lattice_from_json(text: str, name: str = "") -> FiniteLattice:
 
 
 def load_lattice_file(path: str) -> FiniteLattice:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return lattice_from_json(fh.read(), name=path)
 
 

@@ -183,8 +183,9 @@ class Presentation:
 
     @classmethod
     def read(cls, path: str) -> "Presentation":
-        """Parse the identity-system file at path."""
-        with open(path, "r", encoding="utf-8") as fh:
+        """Parse the identity-system file at path (UTF-8, with or without a
+        byte-order mark)."""
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return cls.parse(fh.read())
 
     def format(self) -> str:

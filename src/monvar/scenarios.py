@@ -204,7 +204,7 @@ def _derivation_check(
     if also_in is not None:
         answer = satisfies(also_in, Identity(u, v))
         ok = ok and answer.is_yes
-        evidence += f"    decider answer: satisfies({also_in.kind.value}, {Identity(u, v)}) = {answer}"
+        evidence += f"    decider answer: satisfies({also_in.name}, {Identity(u, v)}) = {answer}"
     report.add(description, ok, evidence)
     if cert is not None:
         report.artifacts.append((sigma, cert))
@@ -427,7 +427,7 @@ def _scenario_s3() -> Report:
         identity = Identity.parse(text)
         got = satisfies(handle, identity)
         ok = ok and got is want
-        lines.append(f"satisfies({handle.kind.value}, {identity}) = {got}" + ("" if got is want else f" (expected {want})"))
+        lines.append(f"satisfies({handle.name}, {identity}) = {got}" + ("" if got is want else f" (expected {want})"))
     report.add(
         "decider record for the defining identities of E against C and LRB",
         ok,

@@ -19,16 +19,14 @@ first part whose answer decides the composite.  A join isoterm reads only
 complete part classes, so the search for a part's class is abandoned at its
 first pruned successor.
 
-Built-in deciders and their canonical invariants:
+The built-in handles are the members of the enum `Builtin`; each carries its
+reference basis, its canonical invariant and its longest isoterm's length:
 
   T    trivial monoids          every identity holds
   SL   semilattice monoids      u = v  iff  content(u) = content(v)
   C    var{x^2 = x^3, xy = yx}  u = v  iff  c_normal_form(u) = c_normal_form(v)
   LRB  var{xy = xyx}            u = v  iff  ini(u) = ini(v)
   RRB  var{xy = yxy}            u = v  iff  fin(u) = fin(v)
-
-Everything known about a built-in (its reference basis, its invariant and the
-length of its longest isoterm) is one row of the table `_BUILTINS`.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 from .rewriting import (
     Identity,
@@ -49,7 +46,6 @@ from .rewriting import (
 from .words import Variable, Word, content, fin, ini
 
 __all__ = [
-    "BuiltinKind",
     "Builtin",
     "Presented",
     "Meet",
@@ -62,7 +58,6 @@ __all__ = [
     "LRB",
     "RRB",
     "MON",
-    "reference_presentation",
     "c_normal_form",
     "satisfies",
     "isoterm_for",
@@ -70,23 +65,52 @@ __all__ = [
 ]
 
 
-class BuiltinKind(Enum):
-    T = "T"
-    SL = "SL"
-    C = "C"
-    LRB = "LRB"
-    RRB = "RRB"
+def c_normal_form(w: Word) -> Word:
+    """Normal form for C: variables in token order, exponents capped at two.
+
+    Two words are C-equivalent exactly when their normal forms coincide,
+    since commutativity sorts letters and x^2 = x^3 collapses every
+    occurrence count of at least two.
+    """
+    counts: dict[Variable, int] = {}
+    for letter in w.letters:
+        counts[letter] = counts.get(letter, 0) + 1
+    out: list[Variable] = []
+    for letter in sorted(counts):
+        out.extend([letter] * min(counts[letter], 2))
+    return Word(out)
 
 
-@dataclass(frozen=True)
-class Builtin:
-    kind: BuiltinKind
+class Builtin(Enum):
+    """A built-in variety: its defining identities (basis; None for T, whose
+    x = y is not content-balanced, so everything holds axiomatically), its
+    invariant (u = v holds exactly when invariant(u) == invariant(v)) and
+    longest_isoterm (the isoterms are exactly the words of at most that length).
+
+    T collapses every word.  The SL class of w is every word with its content,
+    and the LRB class shares ini(w) with padded variants (RRB dually), so only
+    the empty word is a singleton.  In C a letter occurring twice pumps and
+    two once-occurring letters commute, so words of length <= 1 are isoterms.
+    """
+
+    T = (None, lambda w: None, -1)
+    SL = (Presentation.of("x^2 = x", "xy = yx"), content, 0)
+    C = (Presentation.of("x^2 = x^3", "xy = yx"), c_normal_form, 1)
+    LRB = (Presentation.of("xy = xyx"), ini, 0)
+    RRB = (Presentation.of("xy = yxy"), fin, 0)
+
+    def __init__(self, basis: Presentation | None, invariant: Callable[[Word], object], longest_isoterm: int):
+        self.basis = basis
+        self.invariant = invariant
+        self.longest_isoterm = longest_isoterm
+
+    def __repr__(self) -> str:
+        return f"Builtin.{self.name}"
 
     @cached_property
-    def _models(self) -> frozenset[BuiltinKind]:
+    def _models(self) -> frozenset[Builtin]:
         """The built-ins that lie in this one."""
-        basis = _BUILTINS[self.kind].basis
-        return frozenset({BuiltinKind.T}) if basis is None else _models_of(basis)
+        return frozenset({Builtin.T}) if self.basis is None else _models_of(self.basis)
 
 
 @dataclass(frozen=True)
@@ -100,7 +124,7 @@ class Presented:
         self.presentation.require_content_balanced()
 
     @cached_property
-    def _models(self) -> frozenset[BuiltinKind]:
+    def _models(self) -> frozenset[Builtin]:
         return _models_of(self.presentation)
 
 
@@ -113,7 +137,7 @@ class Meet:
             raise ValueError("meet of an empty list")
 
     @cached_property
-    def _models(self) -> frozenset[BuiltinKind]:
+    def _models(self) -> frozenset[Builtin]:
         return frozenset.intersection(*(part._models for part in self.parts))
 
     @cached_property
@@ -133,17 +157,13 @@ class Join:
             raise ValueError("join of an empty list")
 
     @cached_property
-    def _models(self) -> frozenset[BuiltinKind]:
+    def _models(self) -> frozenset[Builtin]:
         return frozenset().union(*(part._models for part in self.parts))
 
 
 VarietyHandle = Builtin | Presented | Meet | Join
 
-T = Builtin(BuiltinKind.T)
-SL = Builtin(BuiltinKind.SL)
-C = Builtin(BuiltinKind.C)
-LRB = Builtin(BuiltinKind.LRB)
-RRB = Builtin(BuiltinKind.RRB)
+T, SL, C, LRB, RRB = Builtin
 MON = Presented(Presentation())
 
 
@@ -169,64 +189,13 @@ class Verdict(Enum):
         return self.value.capitalize()
 
 
-def c_normal_form(w: Word) -> Word:
-    """Normal form for C: variables in token order, exponents capped at two.
-
-    Two words are C-equivalent exactly when their normal forms coincide,
-    since commutativity sorts letters and x^2 = x^3 collapses every
-    occurrence count of at least two.
-    """
-    counts: dict[Variable, int] = {}
-    for letter in w.letters:
-        counts[letter] = counts.get(letter, 0) + 1
-    out: list[Variable] = []
-    for letter in sorted(counts):
-        out.extend([letter] * min(counts[letter], 2))
-    return Word(out)
+def _holds(builtin: Builtin, identity: Identity) -> bool:
+    return builtin.invariant(identity.lhs) == builtin.invariant(identity.rhs)
 
 
-class _Builtin(NamedTuple):
-    basis: Presentation | None
-    # u = v holds exactly when invariant(u) == invariant(v)
-    invariant: Callable[[Word], object]
-    # the isoterms are exactly the words of at most this length
-    longest_isoterm: int
-
-
-# Singleton classes under the canonical invariants:
-#   T collapses everything, so no word is an isoterm.
-#   SL: the class of w is every word with the same content, singleton
-#       only for the empty word.
-#   C: any letter occurring twice pumps, and two once-occurring letters
-#       commute, so only words of length <= 1 have singleton classes.
-#   LRB: every word shares its class with ini(w) and with padded
-#       variants, singleton only for the empty word; RRB dually.
-_BUILTINS = {
-    BuiltinKind.T: _Builtin(None, lambda w: None, -1),
-    BuiltinKind.SL: _Builtin(Presentation.of("x^2 = x", "xy = yx"), content, 0),
-    BuiltinKind.C: _Builtin(Presentation.of("x^2 = x^3", "xy = yx"), c_normal_form, 1),
-    BuiltinKind.LRB: _Builtin(Presentation.of("xy = xyx"), ini, 0),
-    BuiltinKind.RRB: _Builtin(Presentation.of("xy = yxy"), fin, 0),
-}
-
-
-def reference_presentation(kind: BuiltinKind) -> Presentation | None:
-    """The defining identities of a built-in variety.
-
-    T has none usable here: its defining identity x = y is not
-    content-balanced, so its decider is axiomatic (everything holds).
-    """
-    return _BUILTINS[kind].basis
-
-
-def _holds(kind: BuiltinKind, identity: Identity) -> bool:
-    invariant = _BUILTINS[kind].invariant
-    return invariant(identity.lhs) == invariant(identity.rhs)
-
-
-def _models_of(sigma: Presentation) -> frozenset[BuiltinKind]:
+def _models_of(sigma: Presentation) -> frozenset[Builtin]:
     """The built-ins that satisfy every identity of sigma, so lie in its variety."""
-    return frozenset(kind for kind in _BUILTINS if all(_holds(kind, ident) for ident in sigma.identities))
+    return frozenset(builtin for builtin in Builtin if all(_holds(builtin, ident) for ident in sigma.identities))
 
 
 def _every_part(answers: Iterable[Verdict]) -> Verdict:
@@ -264,10 +233,10 @@ def satisfies(handle: VarietyHandle, identity: Identity, bounds: SearchBounds | 
     Yes.
     """
     if isinstance(handle, Builtin):
-        return Verdict.YES if _holds(handle.kind, identity) else Verdict.NO
+        return Verdict.YES if _holds(handle, identity) else Verdict.NO
     if not isinstance(handle, (Presented, Meet, Join)):
         raise TypeError(f"not a variety handle: {handle!r}")
-    if not all(_holds(kind, identity) for kind in handle._models):
+    if not all(_holds(model, identity) for model in handle._models):
         return Verdict.NO
     if isinstance(handle, Presented):
         return _derived(handle, identity, bounds)
@@ -296,7 +265,7 @@ def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = No
     (explore's complete_only).
     """
     if isinstance(handle, Builtin):
-        return Verdict.YES if len(w) <= _BUILTINS[handle.kind].longest_isoterm else Verdict.NO
+        return Verdict.YES if len(w) <= handle.longest_isoterm else Verdict.NO
     if isinstance(handle, Presented):
         return Verdict.YES if isoterm_exact(w, handle.presentation) else Verdict.NO
     if isinstance(handle, Meet):
@@ -322,7 +291,7 @@ def isoterm_for(handle: VarietyHandle, w: Word, bounds: SearchBounds | None = No
     raise TypeError(f"not a variety handle: {handle!r}")
 
 
-_BUILTIN_NAMES = {handle.kind.value: handle for handle in (T, SL, C, LRB, RRB)} | {"MON": MON}
+_BUILTIN_NAMES = {**Builtin.__members__, "MON": MON}
 
 
 # parse_variety rejects meet(...)/join(...) nested deeper than this many

@@ -13,7 +13,6 @@ import pytest
 
 from monvar import (
     Builtin,
-    BuiltinKind,
     ElementProperty,
     ExactClass,
     Identity,
@@ -34,7 +33,6 @@ from monvar import (
     match_pattern,
     parse_certificate,
     parse_word,
-    reference_presentation,
     run_scenario,
     satisfies,
     verify_certificate,
@@ -125,9 +123,9 @@ def test_criterion_4_decider_oracle_equivalence():
     bounds = SearchBounds(max_word_length=10, max_depth=8, max_states=10**6)
     contradictions = []
     confirmed = 0
-    for kind in (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB):
-        sigma = reference_presentation(kind)
-        handle = Builtin(kind)
+    for kind in (Builtin.SL, Builtin.C, Builtin.LRB, Builtin.RRB):
+        sigma = kind.basis
+        handle = kind
         for u in words:
             # one bounded search per start word answers every pair (u, v):
             # the breadth-first tree is exactly what derive(u, v) walks
@@ -236,8 +234,8 @@ def test_criterion_7_certificate_integrity(reports):
     # fresh certificates from the decider sweep on short words
     bounds = SearchBounds(max_word_length=10, max_depth=8, max_states=10**6)
     words = [Word(p) for n in range(4) for p in itertools.product((X, Y), repeat=n)]
-    for kind in (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB):
-        sigma = reference_presentation(kind)
+    for kind in (Builtin.SL, Builtin.C, Builtin.LRB, Builtin.RRB):
+        sigma = kind.basis
         for u in words:
             searched = explore(sigma, u, bounds)
             for v in words:

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monvar
 from monvar import ElementProperty
 from monvar.cli import main
 from monvar.lattices import MAX_ELEMENTS
@@ -102,6 +107,13 @@ class TestDeriveCommand:
         code = main(["derive", "--system", power_system, "--lhs", "x^0", "--rhs", "x"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        path = tmp_path / "bom.ids"
+        path.write_bytes("\ufeffx = x^3\n".encode("utf-8"))
+        code = main(["derive", "--system", str(path), "--lhs", "x^9yx^3", "--rhs", "x^7yx^5", "--max-len", "13"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("Proved (2 steps)\nsystem:\n  [0] x = x^3\n")
 
     def test_missing_file_is_an_error(self, capsys):
         code = main(["derive", "--system", "/nonexistent.ids", "--lhs", "x", "--rhs", "x"])
@@ -290,6 +302,12 @@ class TestLatticeCommand:
         assert main(["lattice", "--file", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_read_past(self, pentagon_file, capsys):
+        path = Path(pentagon_file)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["lattice", "--file", pentagon_file, "--element", "a", "--property", "neutral"]) == 0
+        assert capsys.readouterr().out == "false\n"
+
     def test_unknown_property_lists_every_choice(self, pentagon_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["lattice", "--file", pentagon_file, "--element", "b", "--property", "bogus"])
@@ -333,3 +351,27 @@ class TestVerifyCommand:
         code = main(["verify", "S1"])
         assert code == 1
         assert "STATUS: FAIL" in capsys.readouterr().out.splitlines()
+
+
+# The verify run writes each line as it goes (unbuffered), the derive run only
+# when main flushes stdout.
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["verify", "S1"], "1"),
+        (["derive", "--system", "power.ids", "--lhs", "x^9yx^3", "--rhs", "x^7yx^5", "--max-len", "13"], ""),
+    ],
+    ids=["verify", "derive"],
+)
+def test_closed_stdout_exits_141_quietly(in_files_dir, argv, unbuffered):
+    src = str(Path(monvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        command = [sys.executable, "-m", "monvar.cli", *argv]
+        done = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

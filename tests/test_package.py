@@ -38,7 +38,6 @@ LATTICE_EXPORTS = (
 
 EXPORTS = LATTICE_EXPORTS + (
     "Builtin",
-    "BuiltinKind",
     "C",
     "CertificateCheck",
     "Check",
@@ -92,7 +91,6 @@ EXPORTS = LATTICE_EXPORTS + (
     "parse_certificate",
     "parse_variety",
     "parse_word",
-    "reference_presentation",
     "run_scenario",
     "satisfies",
     "verify_certificate",

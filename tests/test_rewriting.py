@@ -11,7 +11,7 @@ import pytest
 
 from monvar import (
     EMPTY,
-    BuiltinKind,
+    Builtin,
     ContentUnbalancedError,
     DerivationCertificate,
     ExactClass,
@@ -37,7 +37,6 @@ from monvar import (
     one_step_successors,
     parse_certificate,
     parse_word,
-    reference_presentation,
     verify_certificate,
 )
 from monvar import rewriting
@@ -152,8 +151,8 @@ class TestSuccessors:
     def test_each_word_is_its_own_successor_by_the_first_rule(self):
         # prefix 1, suffix p and every image empty, under the first identity
         # read forward; a presentation with no rule gives no successor at all
-        kinds = (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB)
-        systems = [*map(reference_presentation, kinds), POWER, SIGMA_E, SIGMA_X1, Presentation.of("1 = 1"), Presentation.of("zx = xz")]
+        kinds = (Builtin.SL, Builtin.C, Builtin.LRB, Builtin.RRB)
+        systems = [*(kind.basis for kind in kinds), POWER, SIGMA_E, SIGMA_X1, Presentation.of("1 = 1"), Presentation.of("zx = xz")]
         words = [EMPTY, *(parse_word(w) for w in ("x", "xy", "yx^2y", "x^2yxy"))]
         for sigma in systems:
             first = Substitution(dict.fromkeys(content(sigma.identities[0].lhs), EMPTY))
@@ -504,7 +503,7 @@ class TestSuccessorOracle:
         # identities reversed and their variables renamed
         rng = random.Random(4211)
         pairs = [
-            (reference_presentation(BuiltinKind.SL), reference_presentation(BuiltinKind.C)),
+            (Builtin.SL.basis, Builtin.C.basis),
             (Presentation.of("xy = yx"), Presentation.of("yx = xy", "x^2 = x")),
             (Presentation.of("x^2y = xy^2"), Presentation.of("yx^2 = y^2x")),
             (Presentation.of("xy = yx"), Presentation.of("x^2 = x", "zx = xz")),
@@ -613,8 +612,8 @@ class TestSuccessorOracle:
         # codes of its word's other successors, and every rule shape's entry
         # maps those codes to (prefix end, image lengths by slot) links
         rng = random.Random(8821)
-        kinds = (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB)
-        systems = [reference_presentation(kind) for kind in kinds] + [self.random_system(rng) for _ in range(12)]
+        kinds = (Builtin.SL, Builtin.C, Builtin.LRB, Builtin.RRB)
+        systems = [kind.basis for kind in kinds] + [self.random_system(rng) for _ in range(12)]
         clear_successor_cache()
         for sigma in systems:
             for _ in range(3):
@@ -911,7 +910,7 @@ class TestRewriter:
         clear_successor_cache()
         sl_sigma = Presentation.of("x^2 = x", "xy = yx")
         # a fresh copy of C's basis {x^2 = x^3, xy = yx}, so its counters start at 0
-        c_sigma = Presentation(reference_presentation(BuiltinKind.C).identities)
+        c_sigma = Presentation(Builtin.C.basis.identities)
         sl, c = Rewriter.of(sl_sigma), Rewriter.of(c_sigma)
         _, s = rewriting._encode(parse_word("x^2y"))
         sl._successors(s, 3)
@@ -1360,15 +1359,15 @@ def test_criterion_7_certificates_are_byte_identical():
     words = [Word(p) for n in range(4) for p in itertools.product((X, Y), repeat=n)]
     digest = hashlib.sha256()
     count = 0
-    for kind in (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB):
-        sigma = reference_presentation(kind)
+    for kind in (Builtin.SL, Builtin.C, Builtin.LRB, Builtin.RRB):
+        sigma = kind.basis
         for u in words:
             searched = explore(sigma, u, bounds)
             for v in words:
                 cert = searched.certificate_to(v)
                 if cert is not None:
                     count += 1
-                    text = f"{kind.value}: {format_word(u)} = {format_word(v)}\n{format_certificate(cert)}"
+                    text = f"{kind.name}: {format_word(u)} = {format_word(v)}\n{format_certificate(cert)}"
                     digest.update(text.encode())
     assert count == 218
     assert digest.hexdigest() == CRITERION_7_CERTIFICATES_SHA256

@@ -12,7 +12,6 @@ from monvar import (
     SL,
     T,
     Builtin,
-    BuiltinKind,
     ContentUnbalancedError,
     Identity,
     Join,
@@ -30,7 +29,6 @@ from monvar import (
     isoterm_for,
     parse_variety,
     parse_word,
-    reference_presentation,
     satisfies,
 )
 from monvar.varieties import MAX_NESTING
@@ -40,7 +38,7 @@ X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 SIGMA_X1 = Presentation.of("xyxyx = yxyxx", "xyyxx = yxxyx")
 SIGMA_Y1 = Presentation.of("xyxyx = xyyxx")
 SIGMA_BAD = Presentation.of("x = xy")
-REFERENCE_KINDS = (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB)
+REFERENCE_KINDS = (SL, C, LRB, RRB)
 
 
 def words_over(letters, max_len):
@@ -72,6 +70,16 @@ class TestDeciders:
         assert satisfies(T, Identity.parse("x = y")) is Verdict.YES
         assert satisfies(T, Identity.parse("1 = x^4")) is Verdict.YES
 
+    def test_each_builtin_is_one_enum_member(self):
+        assert tuple(Builtin) == (T, SL, C, LRB, RRB)
+        assert repr(LRB) == "Builtin.LRB"
+        assert T.basis is None and T._models == {T}
+        for builtin in Builtin:
+            assert parse_variety(builtin.name) is builtin
+            if builtin is not T:
+                assert all(satisfies(builtin, ident) is Verdict.YES for ident in builtin.basis.identities)
+                assert builtin in builtin._models
+
     def test_rrb_is_reversed_lrb(self):
         for u in words_over_xy(4)[:20]:
             for v in words_over_xy(3):
@@ -91,7 +99,7 @@ class TestCNormalForm:
         assert c_normal_form(parse_word("yx")) == parse_word("xy")
 
     def test_normal_form_is_reachable(self):
-        sigma = reference_presentation(BuiltinKind.C)
+        sigma = C.basis
         cert = derive(sigma, parse_word("x^3y"), parse_word("x^2y"))
         assert cert is not None
         cert2 = derive(sigma, parse_word("yx"), parse_word("xy"))
@@ -177,12 +185,12 @@ class TestModelPruning:
         bounds = SearchBounds(6, 6)
         words = words_over_xy(4)
         for kind in REFERENCE_KINDS:
-            basis = reference_presentation(kind)
+            basis = kind.basis
             for sigma in (basis, *(basis | Presentation.of(e) for e in self.EXTENSIONS)):
                 models = [
-                    Builtin(k)
-                    for k in BuiltinKind
-                    if all(satisfies(Builtin(k), ident).is_yes for ident in sigma.identities)
+                    k
+                    for k in Builtin
+                    if all(satisfies(k, ident).is_yes for ident in sigma.identities)
                 ]
                 handle, pruned = Presented(sigma), 0
                 for u, v in itertools.combinations(words, 2):
@@ -202,17 +210,17 @@ class TestModelPruning:
 
     def test_presented_handle(self):
         # LRB itself is the built-in model that fails xy = yx
-        lrb = reference_presentation(BuiltinKind.LRB)
+        lrb = LRB.basis
         self.assert_no_search(lrb, Presented(lrb), Identity.parse("xy = yx"), Verdict.NO)
 
     # The SL basis derives xy = yx, so only stopping at the built-in's No
     # keeps its rewriter idle.
     def test_join_stops_at_builtin_no(self):
-        sl = reference_presentation(BuiltinKind.SL)
+        sl = SL.basis
         self.assert_no_search(sl, Join((LRB, Presented(sl))), Identity.parse("xy = yx"), Verdict.NO)
 
     def test_meet_stops_at_builtin_yes(self):
-        lrb = reference_presentation(BuiltinKind.LRB)
+        lrb = LRB.basis
         self.assert_no_search(lrb, Meet((SL, Presented(lrb))), Identity.parse("xy = yx"), Verdict.YES)
 
     def test_presented_yes_builds_no_certificate(self, monkeypatch):
@@ -220,7 +228,7 @@ class TestModelPruning:
             raise AssertionError("satisfies built a rewrite step")
 
         monkeypatch.setattr(Rewriter, "_step", step)
-        sl = Presented(reference_presentation(BuiltinKind.SL))
+        sl = Presented(SL.basis)
         assert satisfies(sl, Identity.parse("xy = yx")) is Verdict.YES
 
 
@@ -229,7 +237,7 @@ def verdict_stream(seed, count):
     presented and (nested) meet/join handles over words in x, y of length <= 4."""
     rng = random.Random(seed)
     words = words_over_xy(4)
-    bases = [reference_presentation(kind) for kind in REFERENCE_KINDS]
+    bases = [kind.basis for kind in REFERENCE_KINDS]
     extensions = ("x = x^3", "xyx = x^2y", "x^2 = x", "xyx = yx")
     simple = [T, SL, C, LRB, RRB, MON]
     simple += [Presented(basis) for basis in bases]
@@ -284,12 +292,12 @@ class TestIsoterms:
         # the builtin answer must agree with bounded class exploration: a
         # non-isoterm has a second class member within strict caps
         bounds = SearchBounds(8, 8)
-        for kind in (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB):
-            sigma = reference_presentation(kind)
+        for kind in (SL, C, LRB, RRB):
+            sigma = kind.basis
             for text in ("1", "x", "x^2", "xy", "xyx"):
                 w = parse_word(text)
                 reachable = explore(sigma, w, bounds).words
-                if isoterm_for(Builtin(kind), w) is Verdict.YES:
+                if isoterm_for(kind, w) is Verdict.YES:
                     assert reachable == {w}
                 else:
                     assert len(reachable) > 1
@@ -385,9 +393,9 @@ class TestDeciderOracleSmoke:
     def test_deciders_agree_with_search(self):
         for letters, bounds in (((X, Y), SearchBounds(8, 8)), ((X, Y, Z), SearchBounds(6, 6))):
             words = words_over(letters, 3)
-            for kind in (BuiltinKind.SL, BuiltinKind.C, BuiltinKind.LRB, BuiltinKind.RRB):
-                sigma = reference_presentation(kind)
-                handle = Builtin(kind)
+            for kind in (SL, C, LRB, RRB):
+                sigma = kind.basis
+                handle = kind
                 for u in words:
                     reachable = explore(sigma, u, bounds).words
                     for v in words:
